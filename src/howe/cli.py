@@ -7,7 +7,8 @@ Verbs:
   scan          compare located singular points against a brute-force scan
 
 Exit codes: 0 success, 1 reference or oracle mismatch, 2 field error,
-3 input validation error, 4 scan budget exceeded.
+3 input validation error, 4 scan budget exceeded, 5 internal invariant
+failure (stderr then carries a one-line replay record).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from fractions import Fraction
 from .errors import (
     BudgetExceededError,
     DuplicateRamificationPointError,
+    HoweError,
     InfinityNotSupportedError,
     UnsupportedFieldError,
 )
@@ -37,6 +39,7 @@ EXIT_MISMATCH = 1
 EXIT_FIELD = 2
 EXIT_INPUT = 3
 EXIT_BUDGET = 4
+EXIT_INTERNAL = 5
 
 
 class FieldArgumentError(Exception):
@@ -123,6 +126,8 @@ def cmd_verify_paper(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count must be >= 0, got {args.count}")
     field = parse_field(args.field)
     if field.kind != "prime":
         raise FieldArgumentError("sampling draws uniform elements; use a prime field")
@@ -216,6 +221,14 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def replay_record(args) -> str:
+    """One line with the inputs that reproduce a run of this command."""
+    parts = [f"{name}={getattr(args, name)}"
+             for name in ("field", "alpha", "beta", "seed", "count")
+             if getattr(args, name, None) is not None]
+    return " ".join(["replay", *parts, f"command={args.command}"])
+
+
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
@@ -236,6 +249,11 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except HoweError as exc:
+        # a certificate, cross-check or count invariant failed: a bug, not bad input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(replay_record(args), file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -20,8 +20,12 @@ reproduces the (affine, infinity) count table:
     II-4    deg h1 = 0                                     (0, 2)
 
 Every singular point has multiplicity exactly 2, certified by a nonzero
-second partial.  A brute-force projective scanner doubles as an
-independent oracle over small finite fields.
+second partial.  The certificates are closed forms in the branch data:
+F_yy = -8 phi1(xi) at an affine point (xi:0:1), F_zz = 2 c04 at (0:1:0),
+F_yy = 2 c42 at (1:0:0), and gcd(phi1, m) = 1 for a conjugate packet with
+minimal polynomial m over Q.  ``verify_multiplicity_two`` (first and second
+partials of F evaluated at explicit coordinates) and the brute-force
+projective scan stay available as independent oracles.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .errors import (
     NotSingularError,
     UnsupportedFieldError,
 )
-from .field import ExtensionField, Field, FieldElement
+from .field import Field, FieldElement
 from .unipoly import UniPoly, factor_rational, gcd, resultant, roots
 from .sextic import RamificationData, SexticModel, build_model
 
@@ -92,7 +96,7 @@ def classify(rd: RamificationData) -> SingularityType:
     if h1.degree == 2:
         # resultant of the genuine quadratic, equivalently its discriminant
         a, b, c = h1[2], h1[1], h1[0]
-        disc = b * b - field_four(rd.field) * a * c
+        disc = b * b - rd.field(4) * a * c
         r1 = resultant(h1, h1p)
         if not r1.is_zero:
             return SingularityType("II-1", 2, 2, res_h1_h1p=r1, disc_h1=disc)
@@ -101,10 +105,6 @@ def classify(rd: RamificationData) -> SingularityType:
         return SingularityType("II-3", 1, 2)
     # h1 is a nonzero constant: s4 != t4 because the branch values are distinct
     return SingularityType("II-4", 0, 2)
-
-
-def field_four(field: Field) -> FieldElement:
-    return field(4)
 
 
 @dataclass(frozen=True)
@@ -133,26 +133,40 @@ class SingularPoint:
         return self.coords is not None and self.extension_degree == 1
 
 
+def _nonzero_certificate(partial: str, value: FieldElement, coords: tuple) -> Certificate:
+    if value.is_zero:
+        raise MultiplicityExceedsTwoError(
+            f"closed-form {partial} vanishes at ({coords[0]}:{coords[1]}:{coords[2]})"
+        )
+    return Certificate(partial, value)
+
+
 def _point_at_infinity(model: SexticModel, which: str) -> SingularPoint:
     field = model.field
+    c = model.coeffs
     if which == "y":
         coords = (field.zero, field.one, field.zero)
-        cert = verify_multiplicity_two(model.F, coords)
+        cert = _nonzero_certificate("F_zz", field(2) * c.c04, coords)
     else:
+        # F, F_x and F_z at (1:0:0) are c60, 6 c60 and c50
+        if not (c.c60.is_zero and c.c50.is_zero):
+            raise NotSingularError("(1:0:0) is singular only when s1 = t1")
         coords = (field.one, field.zero, field.zero)
-        cert = verify_multiplicity_two(model.F, coords)
+        cert = _nonzero_certificate("F_yy", field(2) * c.c42, coords)
     return SingularPoint(coords, True, 1, cert)
 
 
-def _affine_point(model: SexticModel, xi: FieldElement, degree: int) -> SingularPoint:
+def _affine_point(model: SexticModel, h1: UniPoly, xi: FieldElement,
+                  degree: int) -> SingularPoint:
     field = xi.field
     coords = (xi, field.zero, field.one)
-    cert = verify_multiplicity_two(model.F, coords)
-    minimal = None
+    if not h1(xi).is_zero:
+        raise NotSingularError(f"h1 does not vanish at x = {xi}")
+    # F_yy = -4 (phi1 + phi2)(xi), and phi1(xi) = phi2(xi) at a root of h1
+    cert = _nonzero_certificate("F_yy", model.rd.phi1(xi) * -8, coords)
     if degree == 1:
-        minimal = UniPoly.from_coeffs(model.field, (-xi, model.field.one)) \
-            if xi.field == model.field else None
-    elif isinstance(field, ExtensionField):
+        minimal = UniPoly.from_coeffs(field, (-xi, field.one))
+    else:  # a root materialised in F_p[t]/(minimal polynomial)
         minimal = UniPoly.from_coeffs(field.base, field.modulus)
     return SingularPoint(coords, False, degree, cert, minimal_poly=minimal)
 
@@ -165,6 +179,14 @@ def singular_points(rd: RamificationData, rng_seed: int = 0,
     points are the distinct roots of h1: closed forms for the unique-root
     types (I-3, II-2, II-3), root finding in extensions of degree <= 3 over
     finite fields, and minimal-polynomial packets over Q.
+
+    Checking h1(xi) = 0 (or m | h1 for a packet) is equivalent to the
+    first-order conditions on F: f(x, 0) = h1^2 and f is even in y, so F,
+    F_x and F_y vanish at (xi:0:1) iff h1(xi) = 0, and the Euler relation
+    6F = x F_x + y F_y + z F_z then forces F_z = 0 (``analyze`` checks the
+    first identity and the Euler relation).  Modulo m, f_yy(x, 0) =
+    -4 (phi1 + phi2) is -8 phi1.  A failed check raises NotSingularError,
+    a vanishing certificate MultiplicityExceedsTwoError.
     """
     if model is None:
         model = build_model(rd, cross_check=False)
@@ -177,19 +199,19 @@ def singular_points(rd: RamificationData, rng_seed: int = 0,
     affine: list[SingularPoint] = []
     if kind.label == "I-3":
         xi = (s2 - t2) / (field(3) * (s1 - t1))
-        affine.append(_affine_point(model, xi, 1))
+        affine.append(_affine_point(model, h1, xi, 1))
     elif kind.label == "II-2":
         xi = (s3 - t3) / (field(2) * (s2 - t2))
-        affine.append(_affine_point(model, xi, 1))
+        affine.append(_affine_point(model, h1, xi, 1))
     elif kind.label == "II-3":
         xi = (s4 - t4) / (s3 - t3)
-        affine.append(_affine_point(model, xi, 1))
+        affine.append(_affine_point(model, h1, xi, 1))
     elif kind.label != "II-4":
         if field.kind == "rational":
             affine.extend(_rational_affine_points(model, h1))
         else:
             for root in roots(h1, 3, rng_seed):
-                affine.append(_affine_point(model, root.value, root.extension_degree))
+                affine.append(_affine_point(model, h1, root.value, root.extension_degree))
 
     affine.sort(key=lambda p: (p.extension_degree,
                                p.coords[0].sort_key() if p.coords else
@@ -209,49 +231,24 @@ def singular_points(rd: RamificationData, rng_seed: int = 0,
 
 def _rational_affine_points(model: SexticModel, h1: UniPoly):
     """Over Q: rational roots become explicit points, irrational ones are
-    reported through the irreducible factors of h1, verified by divisibility."""
+    reported through the irreducible factors of h1 as conjugate packets."""
     out = []
     _, factors = factor_rational(h1)
     for g, _mult in factors:
         if g.degree == 1:
-            xi = -g[0] / g[1]
-            out.append(_affine_point(model, xi, 1))
-        else:
-            cert = _divisibility_certificate(model, g.monic())
-            out.append(
-                SingularPoint(None, False, g.degree, cert,
-                              minimal_poly=g, conjugate_count=g.degree)
-            )
+            out.append(_affine_point(model, h1, -g[0] / g[1], 1))
+            continue
+        m = g.monic()
+        if not (h1 % m).is_zero:
+            raise NotSingularError("minimal polynomial does not divide h1")
+        if gcd(model.rd.phi1, m).degree != 0:
+            raise MultiplicityExceedsTwoError("phi1 shares a root with the minimal polynomial")
+        cert = Certificate("f_yy", None, "nonzero: coprime to the minimal polynomial")
+        out.append(
+            SingularPoint(None, False, g.degree, cert,
+                          minimal_poly=g, conjugate_count=g.degree)
+        )
     return out
-
-
-def _divisibility_certificate(model: SexticModel, m: UniPoly) -> Certificate:
-    """Certify a conjugate packet of affine singular points symbolically.
-
-    All candidate points have y = 0, so the first-order conditions reduce to
-    m dividing F, F_x and F_z restricted to y = 0, and multiplicity 2 to the
-    restricted f_yy being coprime to m.
-    """
-    F = model.F
-    for name in ("", "x", "z"):
-        poly = F if name == "" else F.partial(name)
-        restricted = _restrict_y0(poly, model.field)
-        if not (restricted % m).is_zero:
-            raise NotSingularError(f"minimal polynomial does not divide F_{name or 'itself'}")
-    fyy = model.f.partial("y").partial("y").y_slice(0)
-    if gcd(fyy, m).degree != 0:
-        raise MultiplicityExceedsTwoError("f_yy shares a root with the minimal polynomial")
-    return Certificate("f_yy", None, "nonzero: coprime to the minimal polynomial")
-
-
-def _restrict_y0(F: HomPoly, field: Field) -> UniPoly:
-    """F(x, 0, 1) as a univariate polynomial."""
-    deg = max((i for (i, j, k) in F.terms if j == 0), default=-1)
-    coeffs = [field.zero] * (deg + 1)
-    for (i, j, k), c in F.terms.items():
-        if j == 0:
-            coeffs[i] = coeffs[i] + c
-    return UniPoly.from_coeffs(field, coeffs)
 
 
 def verify_multiplicity_two(F: HomPoly, coords: tuple) -> Certificate:

@@ -25,6 +25,8 @@ from .field import (
     ExtensionField,
     Field,
     FieldElement,
+    _pmod,
+    _pmul,
     is_prime,
     prime_field,
 )
@@ -547,7 +549,24 @@ def _finite_order(field: Field) -> int:
 
 
 def _pow_mod(base: UniPoly, e: int, mod: UniPoly) -> UniPoly:
-    acc = UniPoly.one(base.field)
+    """base^e mod mod by square-and-multiply.
+
+    Over a prime field the loop runs on plain integer coefficient lists,
+    skipping the per-coefficient FieldElement objects.
+    """
+    field = base.field
+    if field.kind == "prime":
+        p = field.p
+        m = [c.val for c in mod.coeffs]
+        b = _pmod([c.val for c in base.coeffs], m, p)
+        acc = [1]
+        while e:
+            if e & 1:
+                acc = _pmod(_pmul(acc, b, p), m, p)
+            b = _pmod(_pmul(b, b, p), m, p)
+            e >>= 1
+        return UniPoly(field, tuple(FieldElement(field, v) for v in acc))
+    acc = UniPoly.one(field)
     base = base % mod
     while e:
         if e & 1:
@@ -636,20 +655,23 @@ def roots(f: UniPoly, up_to_degree: int, rng_seed: int = 0):
         rem = g
         x = UniPoly.x(field)
         w = x
+        xq = None  # x^q mod g, the Frobenius map of F_q[x]/(g)
         d = 0
         while d < up_to_degree and rem.degree >= 1:
             d += 1
             if rem.degree < 2 * d:
                 # the remaining cofactor is a single irreducible factor
                 if rem.degree <= up_to_degree:
-                    out.extend(_materialise(rem, rem.degree, mult))
+                    out.extend(_materialise(rem, rem.degree, mult, xq))
                     rem = UniPoly.one(field)
                 break
             w = _pow_mod(w, q, rem)
+            if xq is None:
+                xq = w
             part = gcd(rem, (w - x) % rem)
             if part.degree > 0:
                 for h in _equal_degree_split(part, d, rng):
-                    out.extend(_materialise(h, d, mult))
+                    out.extend(_materialise(h, d, mult, xq))
                 rem = rem // part
                 if rem.degree >= 1:
                     w = w % rem
@@ -675,7 +697,13 @@ def _equal_degree_split(f: UniPoly, d: int, rng: random.Random):
             return _equal_degree_split(g, d, rng) + _equal_degree_split(f // g, d, rng)
 
 
-def _materialise(h: UniPoly, d: int, mult: int):
+def _materialise(h: UniPoly, d: int, mult: int, xq: UniPoly | None):
+    """The d roots of an irreducible factor h of degree d.
+
+    For d > 1 they are t, t^p, ..., t^(p^(d-1)) in F_p[t]/(h).  ``xq`` is
+    x^p modulo a multiple of h, so ``xq mod h`` is the Frobenius map of that
+    ring and each conjugate is ``xq`` evaluated at the previous one.
+    """
     field = h.field
     if d == 1:
         h = h.monic()
@@ -685,11 +713,12 @@ def _materialise(h: UniPoly, d: int, mult: int):
             "roots in proper extensions are only materialised over prime base fields"
         )
     ext = ExtensionField(field.p, tuple(c.val for c in h.monic().coeffs), check_irreducible=False)
+    frobenius = xq % h
     conj = ext.generator()
     found = []
     for _ in range(d):
         found.append(Root(conj, mult, d))
-        conj = conj**field.p
+        conj = frobenius(conj)
     return found
 
 

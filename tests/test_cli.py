@@ -2,8 +2,16 @@
 
 import json
 
+import pytest
+
+from howe import (
+    ConstructionMismatchError,
+    MultiplicityExceedsTwoError,
+    NotSingularError,
+    cli,
+    reference,
+)
 from howe.cli import main
-from howe import reference
 
 
 def run(capsys, *argv):
@@ -201,3 +209,35 @@ class TestScan:
         )
         assert code == 0
         assert json.loads(out)["agree"] is True
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "error", [NotSingularError, MultiplicityExceedsTwoError, ConstructionMismatchError]
+    )
+    def test_internal_failure_exit_5_with_replay(self, capsys, monkeypatch, error):
+        def broken(rd, seed=0):
+            raise error("forced")
+
+        monkeypatch.setattr(cli, "analyze", broken)
+        code, out, err = run(capsys, *BUILD_I1, "--seed", "7")
+        assert code == cli.EXIT_INTERNAL == 5
+        assert out == ""
+        assert f"{error.__name__}: forced" in err
+        assert "replay field=p=31 alpha=0,1,-1,20 beta=28,16,7,27 seed=7" in err.splitlines()[-1]
+
+    def test_invariant_failure_inside_pipeline(self, capsys, monkeypatch):
+        # root finding that loses the affine points trips the count check
+        import howe.singular as singular
+
+        monkeypatch.setattr(singular, "roots", lambda *a, **k: [])
+        code, _, err = run(capsys, *BUILD_I1, "--json")
+        assert code == 5
+        assert "ConstructionMismatchError" in err
+        assert err.splitlines()[-1].startswith("replay field=p=31 alpha=")
+
+    def test_negative_count_exit_3(self, capsys):
+        code, out, err = run(capsys, "sample", "--field", "p=31", "--count", "-5")
+        assert code == 3
+        assert out == ""
+        assert "--count" in err

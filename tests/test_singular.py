@@ -7,7 +7,9 @@ import pytest
 
 from howe import (
     BudgetExceededError,
+    Certificate,
     HomPoly,
+    MultiplicityExceedsTwoError,
     NotSingularError,
     brute_force_singular_scan,
     build_model,
@@ -211,6 +213,147 @@ class TestCertificates:
                     for var in "xyz":
                         assert model.F.partial(var).eval(x, y, z).is_zero
                     assert p.certificate.value is None or not p.certificate.value.is_zero
+
+
+def _restrict_y0(F, field):
+    """F(x, 0, 1) as a univariate polynomial."""
+    deg = max((i for (i, j, k) in F.terms if j == 0), default=-1)
+    coeffs = [field.zero] * (deg + 1)
+    for (i, j, k), c in F.terms.items():
+        if j == 0:
+            coeffs[i] = coeffs[i] + c
+    return UniPoly.from_coeffs(field, coeffs)
+
+
+def divisibility_certificate(model, m):
+    """The HomPoly route for a conjugate packet with monic minimal polynomial
+    m: m divides F, F_x and F_z at y = 0, and f_yy(x, 0) is coprime to m."""
+    F = model.F
+    for name in ("", "x", "z"):
+        poly = F if name == "" else F.partial(name)
+        if not (_restrict_y0(poly, model.field) % m).is_zero:
+            raise NotSingularError(f"minimal polynomial does not divide F_{name or 'itself'}")
+    fyy = model.f.partial("y").partial("y").y_slice(0)
+    if gcd(fyy, m).degree != 0:
+        raise MultiplicityExceedsTwoError("f_yy shares a root with the minimal polynomial")
+    return Certificate("f_yy", None, "nonzero: coprime to the minimal polynomial")
+
+
+def branch_data_s1_equal(field, rng):
+    """A valid configuration with s1 = t1, so that (1:0:0) is singular."""
+    while True:
+        alphas = [field.random_element(rng) for _ in range(4)]
+        betas = [field.random_element(rng) for _ in range(3)]
+        betas.append(sum(alphas, field.zero) - sum(betas, field.zero))
+        if len({v.val for v in alphas + betas}) == 8:
+            return validate(alphas, betas)
+
+
+def f25_instance():
+    from howe import build_extension
+
+    E = build_extension(5, 2, 1)
+    elems = [E((n % 5, n // 5 % 5)) for n in range(8)]
+    return validate(elems[:4], elems[4:])
+
+
+class TestClosedFormCertificates:
+    """Every closed-form certificate equals the HomPoly oracle's."""
+
+    def assert_matches_oracle(self, rd, seed=0):
+        model = build_model(rd)
+        pts = singular_points(rd, seed, model)
+        for pt in pts:
+            if pt.coords is None:
+                assert divisibility_certificate(model, pt.minimal_poly.monic()) == pt.certificate
+                continue
+            assert verify_multiplicity_two(model.F, pt.coords) == pt.certificate
+        return pts
+
+    def test_f31_pool(self):
+        rng = random.Random(21)
+        for i in range(60):
+            self.assert_matches_oracle(random_branch_data(prime_field(31), rng), i)
+
+    def test_f10007_pool_reaches_cubic_extensions(self):
+        rng = random.Random(22)
+        degrees = set()
+        for i in range(40):
+            pts = self.assert_matches_oracle(random_branch_data(prime_field(10007), rng), i)
+            degrees.update(p.extension_degree for p in pts)
+        assert degrees == {1, 2, 3}
+
+    def test_rational_pool_points_and_packets(self, QQ):
+        rng = random.Random(23)
+        kinds = set()
+        for i in range(60):
+            pts = self.assert_matches_oracle(random_branch_data(QQ, rng, span=40), i)
+            kinds.update((p.coords is None, p.extension_degree) for p in pts)
+        assert {(False, 1), (True, 2), (True, 3)} <= kinds
+
+    def test_f25_instance(self):
+        pts = self.assert_matches_oracle(f25_instance())
+        assert [p.at_infinity for p in pts] == [False, False, False, True]
+
+    def test_point_x_at_infinity(self):
+        rng = random.Random(24)
+        for field in (prime_field(31), prime_field(10007)):
+            for i in range(20):
+                rd = branch_data_s1_equal(field, rng)
+                pts = self.assert_matches_oracle(rd, i)
+                assert pts[-1].coords == (field.one, field.zero, field.zero)
+                assert pts[-1].certificate == Certificate("F_yy", field(-8))
+
+    def test_packet_certificate_rejects_non_dividing_factor(self, QQ):
+        rd = validate([QQ(0), QQ(1), QQ(-1), QQ(3)], [QQ(2), QQ(5), QQ(7), QQ(11)])
+        model = build_model(rd)
+        bogus = UniPoly.from_coeffs(QQ, [-2, 0, 1])  # x^2 - 2 does not divide h1
+        with pytest.raises(NotSingularError):
+            divisibility_certificate(model, bogus)
+
+
+class TestRuntimeChecks:
+    def test_non_root_rejected(self, monkeypatch):
+        import howe.singular as singular
+        from howe.unipoly import Root
+
+        rd = reference("I-1")
+        F = rd.field
+        fake = [Root(F(v), 1, 1) for v in (1, 2, 3)]
+        monkeypatch.setattr(singular, "roots", lambda *a, **k: fake)
+        with pytest.raises(NotSingularError):
+            singular_points(rd)
+
+    def test_non_dividing_packet_rejected(self, monkeypatch, QQ):
+        import howe.singular as singular
+
+        rd = validate([QQ(0), QQ(1), QQ(-1), QQ(3)], [QQ(2), QQ(5), QQ(7), QQ(11)])
+        bogus = UniPoly.from_coeffs(QQ, [-2, 0, 0, 1])
+        monkeypatch.setattr(singular, "factor_rational", lambda h: (QQ.one, [(bogus, 1)]))
+        with pytest.raises(NotSingularError):
+            singular_points(rd)
+
+    def test_vanishing_certificate_rejected(self):
+        import dataclasses
+
+        rd = reference("I-1")
+        model = build_model(rd)
+        broken = dataclasses.replace(
+            model, coeffs=dataclasses.replace(model.coeffs, c04=rd.field.zero)
+        )
+        with pytest.raises(MultiplicityExceedsTwoError):
+            singular_points(rd, 0, broken)
+
+    def test_x_point_requires_vanishing_top_terms(self):
+        import dataclasses
+
+        rd = reference("II-4")
+        model = build_model(rd)
+        broken = dataclasses.replace(
+            model, coeffs=dataclasses.replace(model.coeffs, c50=rd.field.one)
+        )
+        with pytest.raises(NotSingularError):
+            singular_points(rd, 0, broken)
 
 
 class TestScan:

@@ -392,3 +392,73 @@ def test_roots_multiplicity_in_extension(F7):
     assert len(by_degree[1]) == 1 and by_degree[1][0].multiplicity == 1
     assert len(by_degree[2]) == 2
     assert all(r.multiplicity == 2 for r in by_degree[2])
+
+
+def _pow_mod_reference(base, e, mod):
+    """Plain UniPoly square-and-multiply: the oracle for the int-list kernel."""
+    acc = UniPoly.one(base.field)
+    base = base % mod
+    while e:
+        if e & 1:
+            acc = acc * base % mod
+        base = base * base % mod
+        e >>= 1
+    return acc
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_pow_mod_int_kernel_matches_unipoly(data):
+    from howe.unipoly import _pow_mod
+
+    p = data.draw(st.sampled_from([5, 7, 31, 10007]))
+    F = prime_field(p)
+    base = UniPoly.from_coeffs(F, data.draw(st.lists(st.integers(0, p - 1), max_size=7)))
+    mod_low = data.draw(st.lists(st.integers(0, p - 1), max_size=5))
+    mod = UniPoly.from_coeffs(F, mod_low + [data.draw(st.integers(1, p - 1))])
+    e = data.draw(st.integers(0, 3 * p))
+    got = _pow_mod(base, e, mod)
+    assert got == _pow_mod_reference(base, e, mod)
+    assert all(0 <= c.val < p for c in got.coeffs)
+
+
+class TestFrobeniusConjugates:
+    @pytest.mark.parametrize("p", [7, 31, 10007])
+    def test_conjugates_are_frobenius_orbits(self, p):
+        F = prime_field(p)
+        rng = random.Random(p)
+        seen = set()
+        for trial in range(40):
+            # a product of random monic factors of degree 1..3
+            f = UniPoly.one(F)
+            for _ in range(rng.randint(1, 3)):
+                deg = rng.randint(1, 3)
+                f = f * UniPoly.from_coeffs(F, [rng.randrange(p) for _ in range(deg)] + [1])
+            got = roots(f, 3, rng_seed=trial)
+            by_field = {}
+            for r in got:
+                assert f(r.value).is_zero
+                if r.extension_degree > 1:
+                    by_field.setdefault(r.value.field.modulus, []).append(r.value)
+            for modulus, conj in by_field.items():
+                d = len(modulus) - 1
+                seen.add(d)
+                assert len(conj) == d
+                assert {c.val for c in conj} == {(c**p).val for c in conj}
+                # one orbit: repeated p-th powers of any conjugate reach all
+                c, orbit = conj[0], set()
+                for _ in range(d):
+                    orbit.add(c.val)
+                    c = c**p
+                assert orbit == {c.val for c in conj}
+        assert seen == {2, 3}
+
+    def test_roots_pinned_for_fixed_seed(self, F31):
+        # (x - 5)(x^2 + 1)(x^3 + x + 3): one factor of each degree
+        f = UniPoly.from_coeffs(F31, [16, 29, 17, 24, 2, 26, 1])
+        got = [(r.value.val, r.multiplicity, r.extension_degree) for r in roots(f, 3, 3)]
+        assert got == [
+            (5, 1, 1),
+            ((0, 1), 1, 2), ((0, 30), 1, 2),
+            ((0, 1, 0), 1, 3), ((2, 17, 3), 1, 3), ((29, 13, 28), 1, 3),
+        ]
