@@ -20,6 +20,7 @@ from .errors import (
     NormalizationImpossibleError,
     NotOnCurveError,
     NotSingularError,
+    UnsupportedDegreeError,
     UnsupportedFieldError,
     ZeroPolynomialError,
 )

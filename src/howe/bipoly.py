@@ -151,9 +151,6 @@ class BiPoly:
             acc = acc + emb(c) * xpow[i] * ypow[j]
         return acc
 
-    def eval_y0(self) -> UniPoly:
-        return self.y_slice(0)
-
     def shift_x(self, a: FieldElement) -> "BiPoly":
         """Substitute x -> x + a."""
         out = BiPoly.zero(self.field)
@@ -163,10 +160,6 @@ class BiPoly:
                 continue
             out = out + BiPoly.from_unipoly(u.shift(a), "x", j)
         return out
-
-    def map_field(self, target: Field) -> "BiPoly":
-        emb = _embedding(self.field, target)
-        return BiPoly(target, {e: emb(c) for e, c in self.terms.items()}, _trusted=True)
 
     def __eq__(self, other):
         if not isinstance(other, BiPoly):
@@ -264,12 +257,6 @@ class HomPoly:
         for (i, j, k), c in self.terms.items():
             acc = acc + emb(c) * xpow[i] * ypow[j] * zpow[k]
         return acc
-
-    def map_field(self, target: Field) -> "HomPoly":
-        emb = _embedding(self.field, target)
-        return HomPoly(
-            target, {e: emb(c) for e, c in self.terms.items()}, self.degree, _trusted=True
-        )
 
     def __eq__(self, other):
         if not isinstance(other, HomPoly):

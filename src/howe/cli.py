@@ -7,8 +7,9 @@ Verbs:
   scan          compare located singular points against a brute-force scan
 
 Exit codes: 0 success, 1 reference or oracle mismatch, 2 field error,
-3 input validation error, 4 scan budget exceeded, 5 internal invariant
-failure (stderr then carries a one-line replay record).
+3 input validation error, 4 scan budget exceeded, 5 internal failure: an
+invariant check or any unexpected exception (stderr then carries the
+traceback and a one-line replay record).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from fractions import Fraction
 from .errors import (
     BudgetExceededError,
     DuplicateRamificationPointError,
-    HoweError,
     InfinityNotSupportedError,
     UnsupportedFieldError,
 )
@@ -44,6 +44,10 @@ EXIT_INTERNAL = 5
 
 class FieldArgumentError(Exception):
     pass
+
+
+class InputArgumentError(Exception):
+    """A command-line value that does not parse or is out of range."""
 
 
 def parse_field(text: str) -> Field:
@@ -70,7 +74,7 @@ def parse_points(field: Field, text: str, what: str):
     """Comma-separated field elements: integers, or n/d fractions over Q."""
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
-        raise ValueError(f"--{what} needs exactly 4 comma-separated values")
+        raise InputArgumentError(f"--{what} needs exactly 4 comma-separated values")
     out = []
     for part in parts:
         if part.lower() in _INFINITY_TOKENS:
@@ -78,10 +82,13 @@ def parse_points(field: Field, text: str, what: str):
                 f"{what} value {part!r}: branch values must be finite; apply a"
                 " Moebius normalisation first"
             )
-        if field.kind == "rational":
-            out.append(field(Fraction(part)))
-        else:
-            out.append(field(int(part)))
+        try:
+            value = Fraction(part) if field.kind == "rational" else int(part)
+        except ZeroDivisionError:
+            raise InputArgumentError(f"{what} value {part!r} has a zero denominator") from None
+        except ValueError as exc:
+            raise InputArgumentError(f"{what} value {part!r}: {exc}") from None
+        out.append(field(value))
     return out
 
 
@@ -127,7 +134,7 @@ def cmd_verify_paper(args) -> int:
 
 def cmd_sample(args) -> int:
     if args.count < 0:
-        raise ValueError(f"--count must be >= 0, got {args.count}")
+        raise InputArgumentError(f"--count must be >= 0, got {args.count}")
     field = parse_field(args.field)
     if field.kind != "prime":
         raise FieldArgumentError("sampling draws uniform elements; use a prime field")
@@ -237,20 +244,19 @@ def main(argv=None) -> int:
     except (FieldArgumentError, UnsupportedFieldError) as exc:
         print(f"field error: {exc}", file=sys.stderr)
         return EXIT_FIELD
-    except DuplicateRamificationPointError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except InfinityNotSupportedError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, TypeError) as exc:
+    except (InputArgumentError, DuplicateRamificationPointError,
+            InfinityNotSupportedError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except HoweError as exc:
-        # a certificate, cross-check or count invariant failed: a bug, not bad input
+    except Exception as exc:
+        # inputs were accepted, so any other failure (a certificate, cross-check
+        # or count invariant, or an unexpected exception) is a bug, not bad input
+        import traceback  # here, not at the top: it adds ~4 ms to every start
+
+        traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         print(replay_record(args), file=sys.stderr)
         return EXIT_INTERNAL

@@ -17,6 +17,12 @@ class UnsupportedFieldError(HoweError):
     """Operation not defined over the given field kind."""
 
 
+class UnsupportedDegreeError(HoweError):
+    """Factorization over Q found a squarefree factor of degree >= 4 with no
+    rational root; only rational roots and a remaining factor of degree <= 3
+    are supported."""
+
+
 class BothZeroError(HoweError):
     """gcd of two zero polynomials."""
 

@@ -522,9 +522,6 @@ class ExtensionField(Field):
     def random_element(self, rng: random.Random) -> FieldElement:
         return FieldElement(self, tuple(rng.randrange(self.p) for _ in range(self.k)))
 
-    def frobenius(self, a: FieldElement) -> FieldElement:
-        return a**self.p
-
 
 class RationalField(Field):
     """The rational numbers with always-reduced fractions."""

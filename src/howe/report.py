@@ -4,13 +4,13 @@ One call runs: validation, coefficient formulas, the polynomial-arithmetic
 cross-check, singularity classification and location with multiplicity
 certificates, the irreducibility searches, and the structural invariants
 (Euler relation, square restriction to y = 0, genus bound).  The JSON form
-is key-ordered and timing-free so equal inputs serialise byte-identically.
+is key-ordered, and neither it nor the text form carries timings, so equal
+inputs render byte-identically.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,7 +55,6 @@ class AnalysisReport:
     verdict: IrreducibilityVerdict
     checks: dict
     seed: int
-    elapsed_ms: float
 
     @property
     def all_checks_pass(self) -> bool:
@@ -63,7 +62,6 @@ class AnalysisReport:
 
 
 def analyze(rd: RamificationData, seed: int = 0) -> AnalysisReport:
-    t0 = time.perf_counter()
     model = build_model(rd, cross_check=True)
     h1 = h1_poly(rd)
     kind = classify(rd)
@@ -79,8 +77,7 @@ def analyze(rd: RamificationData, seed: int = 0) -> AnalysisReport:
         "genus_bound": genus_bound_check(kind),
         "irreducible": verdict.irreducible,
     }
-    elapsed = (time.perf_counter() - t0) * 1000.0
-    return AnalysisReport(rd, model, h1, kind, points, verdict, checks, seed, elapsed)
+    return AnalysisReport(rd, model, h1, kind, points, verdict, checks, seed)
 
 
 # -- serialisation -----------------------------------------------------------
@@ -224,5 +221,4 @@ def render_text(report: AnalysisReport) -> str:
     lines.append(f"absolutely irreducible: {report.verdict.irreducible}")
     for name, ok in report.checks.items():
         lines.append(f"check {name}: {'ok' if ok else 'FAILED'}")
-    lines.append(f"elapsed: {report.elapsed_ms:.2f} ms")
     return "\n".join(lines)

@@ -4,12 +4,12 @@ Provides arithmetic, gcd, formal derivatives, resultants (Sylvester
 determinant convention, rows of the first argument on top), squarefree
 decomposition in characteristic 0 and p, a perfect-square test, root
 finding over finite fields by distinct-degree plus seeded equal-degree
-splitting, and complete factorization over Q at small degree.
+splitting, and factorization over Q: rational roots by p-adic lifting, then
+irreducible factors of degree <= 3.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -18,6 +18,7 @@ from fractions import Fraction
 from .errors import (
     BothZeroError,
     MixedFieldsError,
+    UnsupportedDegreeError,
     UnsupportedFieldError,
     ZeroPolynomialError,
 )
@@ -229,11 +230,6 @@ class UniPoly:
         for c in reversed(self.coeffs):
             acc = acc * lin + UniPoly.constant(c)
         return acc
-
-    def map_field(self, target: Field) -> "UniPoly":
-        """Coefficient-wise image under the embedding into ``target``."""
-        emb = _embedding(self.field, target)
-        return UniPoly.from_coeffs(target, [emb(c) for c in self.coeffs])
 
     def __eq__(self, other):
         if isinstance(other, UniPoly):
@@ -726,17 +722,17 @@ def _materialise(h: UniPoly, d: int, mult: int, xq: UniPoly | None):
 
 
 def factor_rational(f: UniPoly):
-    """Complete factorization over Q.
+    """Factorization over Q, beyond rational roots only up to degree 3.
 
     Returns (content, factors) where factors is a list of (g, multiplicity)
     with g primitive over Z, positive leading coefficient and irreducible
-    over Q, and f = content * prod g^multiplicity.
+    over Q, and f = content * prod g^multiplicity, sorted by (degree, coeffs).
 
-    Linear factors come from the rational root theorem; residual squarefree
-    parts of degree 2 or 3 are irreducible outright, and higher degrees are
-    resolved by factoring modulo one sufficiently large prime and testing
-    divisibility of recombined factor subsets over Z (adequate at the small
-    degrees and coefficient sizes this package works with).
+    Rational roots are found by p-adic lifting (``_rational_roots_int``).
+    What remains of each squarefree part after removing them has no rational
+    root, so at degree <= 3 it is irreducible.  A remainder of degree >= 4
+    raises ``UnsupportedDegreeError``; the pipeline never builds one, since
+    the polynomial it factors (h1) has degree <= 3.
     """
     field = f.field
     if field.kind != "rational":
@@ -756,63 +752,76 @@ def factor_rational(f: UniPoly):
     return field(content), factors
 
 
-def _divisors(n: int):
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def _factor_squarefree_int(h: list):
-    """Irreducible primitive factors of a squarefree primitive int polynomial."""
+    """Irreducible primitive factors of a squarefree primitive int polynomial
+    with positive leading coefficient, provided at most a factor of degree
+    <= 3 is left after its rational roots are divided out."""
     out = []
-    if h[-1] < 0:
-        h = [-c for c in h]
-    # split off x
-    if h[0] == 0:
-        out.append([0, 1])
-        h = h[1:]
-    # rational roots p/q give primitive linear factors q*x - p
-    changed = True
-    while changed and len(h) > 2:
-        changed = False
-        for num in _divisors(h[0]):
-            for den in _divisors(h[-1]):
-                if math.gcd(num, den) != 1:
-                    continue
-                for sign in (1, -1):
-                    r = Fraction(sign * num, den)
-                    if _eval_int_at(h, r) == 0:
-                        lin = [-sign * num, den]
-                        h = _int_exact_div(h, lin)
-                        out.append(lin)
-                        changed = True
-                        break
-                if changed:
-                    break
-            if changed:
-                break
+    for u, v in _rational_roots_int(h):
+        lin = [-u, v]
+        h = _int_exact_div(h, lin)
+        out.append(lin)
     deg = len(h) - 1
-    if deg == 0:
-        pass  # unit; primitivity makes it 1
-    elif deg <= 3:
+    if deg >= 4:
+        raise UnsupportedDegreeError(
+            f"no rational root in a squarefree factor of degree {deg}; only"
+            " degree <= 3 is factored beyond its rational roots"
+        )
+    if deg >= 1:
         out.append(h)  # no rational root at degree <= 3 means irreducible
-    else:
-        out.extend(_factor_big_prime(h))
-    out.sort(key=lambda g: (len(g), g))
     return out
 
 
-def _eval_int_at(h, r: Fraction):
-    acc = Fraction(0)
+def _rational_roots_int(h: list):
+    """All rational roots u/v (v > 0, in lowest terms) of a squarefree
+    primitive integer polynomial h, as (u, v) pairs.
+
+    Takes the smallest prime p not dividing lc(h) at which every root of
+    h mod p is simple; each rational root reduces to one of them.  Each is
+    Newton-lifted until p^k exceeds 2 * |lc| * B, with B = 1 + max|c_i|/|lc|
+    the Cauchy root bound.  Since v divides lc, lc * u/v is then the centred
+    residue of lc * r mod p^k, and each candidate is verified exactly.
+    See von zur Gathen & Gerhard, Modern Computer Algebra, ch. 15.
+    """
+    n = len(h) - 1
+    lc = h[-1]
+    dh = [i * h[i] for i in range(1, n + 1)]
+    p, residues = _simple_root_prime(h, dh)
+    bound = 2 * (abs(lc) + max(abs(c) for c in h[:-1]))
+    out = []
+    for r in residues:
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - _eval_mod(h, r, m) * pow(_eval_mod(dh, r, m), -1, m)) % m
+        c = lc * r % m
+        if c > m // 2:
+            c -= m
+        root = Fraction(c, lc)
+        u, v = root.numerator, root.denominator
+        if sum(h[i] * u**i * v ** (n - i) for i in range(n + 1)) == 0:
+            out.append((u, v))
+    return out
+
+
+def _simple_root_prime(h: list, dh: list):
+    """Smallest prime p not dividing lc(h) at which every root of h mod p is
+    simple (dh = h'), with those roots.  Exists because h is squarefree."""
+    p = 1
+    while True:
+        p += 1
+        if not is_prime(p) or h[-1] % p == 0:
+            continue
+        hp = [c % p for c in h]
+        residues = [r for r in range(p) if _eval_mod(hp, r, p) == 0]
+        if all(_eval_mod(dh, r, p) for r in residues):
+            return p, residues
+
+
+def _eval_mod(h: list, r: int, m: int) -> int:
+    acc = 0
     for c in reversed(h):
-        acc = acc * r + c
+        acc = (acc * r + c) % m
     return acc
 
 
@@ -831,99 +840,3 @@ def _int_exact_div(a, b):
     if any(rem[: len(b) - 1]):
         raise ValueError("division is not exact")
     return out
-
-
-def _factor_big_prime(h: list):
-    """Factor a squarefree primitive int polynomial of degree >= 4.
-
-    Chooses one prime larger than twice the Mignotte-style factor bound, so
-    any true factor of lc(h) * (monic product of modular factors) is
-    recovered by centring coefficients once, with no Hensel lifting.
-    """
-    n = len(h) - 1
-    height = max(abs(c) for c in h)
-    bound = 2 * abs(h[-1]) * height * (2**n) * (math.isqrt(n + 1) + 1) + 1
-    p = max(bound, 5) | 1
-    while True:
-        p += 2
-        if not is_prime(p) or h[-1] % p == 0:
-            continue
-        fp = prime_field(p)
-        hp = UniPoly.from_coeffs(fp, h)
-        if gcd(hp, hp.derivative()).degree == 0:
-            break
-    modular = _factor_monic_finite(hp.monic())
-    return _recombine(h, modular, fp)
-
-
-def _factor_monic_finite(f: UniPoly):
-    """Monic irreducible factors of a squarefree monic poly over a prime field."""
-    field = f.field
-    q = field.p
-    rng = random.Random(0xC0FFEE)
-    out = []
-    x = UniPoly.x(field)
-    w = x
-    d = 0
-    rem = f
-    while rem.degree >= 1:
-        d += 1
-        if rem.degree < 2 * d:
-            out.append(rem.monic())
-            break
-        w = _pow_mod(w, q, rem)
-        part = gcd(rem, (w - x) % rem)
-        if part.degree > 0:
-            out.extend(_equal_degree_split(part, d, rng))
-            rem = rem // part
-            if rem.degree >= 1:
-                w = w % rem
-    return out
-
-
-def _recombine(h: list, modular: list, fp):
-    """Find true integer factors as subsets of the modular factorization."""
-    p = fp.p
-    found = []
-    remaining = list(modular)
-    current = list(h)
-    size = 1
-    while 2 * size <= len(remaining):
-        hit = None
-        for combo in itertools.combinations(range(len(remaining)), size):
-            prod = UniPoly.constant(fp(current[-1]))
-            for idx in combo:
-                prod = prod * remaining[idx]
-            cand = [_centre(c.val, p) for c in prod.coeffs]
-            g = 0
-            for c in cand:
-                g = math.gcd(g, c)
-            cand = [c // g for c in cand]
-            if cand[-1] < 0:
-                cand = [-c for c in cand]
-            try:
-                quo = _int_exact_div(current, cand)
-            except ValueError:
-                continue
-            hit = (combo, cand, quo)
-            break
-        if hit is None:
-            size += 1
-            continue
-        combo, cand, quo = hit
-        found.append(cand)
-        current = quo
-        remaining = [g for i, g in enumerate(remaining) if i not in combo]
-    if len(current) > 1:
-        g = 0
-        for c in current:
-            g = math.gcd(g, c)
-        current = [c // g for c in current]
-        if current[-1] < 0:
-            current = [-c for c in current]
-        found.append(current)
-    return found
-
-
-def _centre(v: int, p: int) -> int:
-    return v - p if v > p // 2 else v

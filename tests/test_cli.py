@@ -1,12 +1,15 @@
 """Command-line behaviour: verbs, exit codes, JSON stability."""
 
 import json
+import time
 
 import pytest
 
 from howe import (
     ConstructionMismatchError,
+    MixedFieldsError,
     MultiplicityExceedsTwoError,
+    NotOnCurveError,
     NotSingularError,
     cli,
     reference,
@@ -97,6 +100,35 @@ class TestBuild:
             )
             assert code == 2, bad
             assert err
+
+    def test_text_output_byte_identical_reruns(self, capsys):
+        _, first, _ = run(capsys, *BUILD_I1)
+        _, second, _ = run(capsys, *BUILD_I1)
+        assert first == second
+
+    @pytest.mark.parametrize("alpha,beta,rational_point", [
+        # eight unrelated values near 10^30: h1 is an irreducible cubic
+        ("1000000000000000000000000000057,-999999999999999999999999999989,"
+         "123456789012345678901234567891,-314159265358979323846264338327",
+         "271828182845904523536028747135,-161803398874989484820458683436,"
+         "141421356237309504880168872420,-173205080756887729352744634150", None),
+        # prod(alpha) = prod(beta), so h1(0) = 0 and (0:0:1) is a double point
+        ("2000000000000000000000000000002,3000000000000000000000000000009,"
+         "700000000000000000000000000001,1000000000000000000000000000000",
+         "1000000000000000000000000000001,6000000000000000000000000000018,"
+         "1400000000000000000000000000002,500000000000000000000000000000", ["0", "0", "1"]),
+    ])
+    def test_rational_field_large_height(self, capsys, alpha, beta, rational_point):
+        t0 = time.perf_counter()
+        code, out, _ = run(
+            capsys, "build", "--field", "rational", "--alpha", alpha, "--beta", beta, "--json",
+        )
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["singularity"]["total"] == 4
+        coords = [p["coords"] for p in payload["singularity"]["points"] if p["coords"]]
+        assert (rational_point in coords) == (rational_point is not None)
 
     def test_rational_field(self, capsys):
         code, out, _ = run(
@@ -235,6 +267,35 @@ class TestExitCodes:
         assert code == 5
         assert "ConstructionMismatchError" in err
         assert err.splitlines()[-1].startswith("replay field=p=31 alpha=")
+
+    @pytest.mark.parametrize("field,alpha,needle", [
+        ("rational", "1/0,2,3,4", "zero denominator"),
+        ("rational", "x,2,3,4", "'x'"),
+        ("p=31", "1.5,2,3,4", "'1.5'"),
+        ("p=31", "1,2,3", "exactly 4"),
+    ])
+    def test_unparsable_value_exit_3(self, capsys, field, alpha, needle):
+        code, out, err = run(
+            capsys, "build", "--field", field, "--alpha", alpha, "--beta", "5,6,7,8",
+        )
+        assert code == cli.EXIT_INPUT == 3
+        assert out == ""
+        assert needle in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "error", [TypeError, ValueError, ZeroDivisionError, MixedFieldsError, NotOnCurveError]
+    )
+    def test_unexpected_exception_exit_5(self, capsys, monkeypatch, error):
+        def broken(rd, seed=0):
+            raise error("injected")
+
+        monkeypatch.setattr(cli, "analyze", broken)
+        code, out, err = run(capsys, *BUILD_I1)
+        assert code == cli.EXIT_INTERNAL
+        assert out == ""
+        assert f"internal error: {error.__name__}: injected" in err
+        assert err.splitlines()[-1].startswith("replay field=p=31 alpha=0,1,-1,20")
 
     def test_negative_count_exit_3(self, capsys):
         code, out, err = run(capsys, "sample", "--field", "p=31", "--count", "-5")

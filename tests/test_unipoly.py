@@ -3,12 +3,14 @@ Sylvester determinant as independent oracle), squarefree structure, roots,
 and rational factorization."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from howe import (
     BothZeroError,
+    UnsupportedDegreeError,
     UnsupportedFieldError,
     ZeroPolynomialError,
     factor_rational,
@@ -16,6 +18,7 @@ from howe import (
     is_irreducible,
     is_perfect_square,
     prime_field,
+    rational_field,
     resultant,
     roots,
     squarefree_decomposition,
@@ -314,30 +317,27 @@ class TestFactorRational:
         assert sorted(str(g) for g, _ in factors) == ["2*x + 1", "x + 1"]
 
     def test_quartic_product_of_quadratics(self, QQ):
+        # no rational root and degree 4: beyond the supported shape
         a = UniPoly.from_coeffs(QQ, [1, 0, 1])
         b = UniPoly.from_coeffs(QQ, [2, 0, 1])
-        content, factors = factor_rational(a * b)
-        assert content == QQ.one
-        assert sorted(str(g) for g, _ in factors) == ["x^2 + 1", "x^2 + 2"]
+        with pytest.raises(UnsupportedDegreeError):
+            factor_rational(a * b)
 
     def test_quartic_irreducible_with_modular_splits(self, QQ):
         # x^4 + 1 factors modulo every prime but not over Q
         f = UniPoly.from_coeffs(QQ, [1, 0, 0, 0, 1])
-        content, factors = factor_rational(f)
-        assert content == QQ.one
-        assert factors == [(f, 1)]
+        with pytest.raises(UnsupportedDegreeError):
+            factor_rational(f)
 
     def test_multiply_back_random(self, QQ):
+        # the supported shape: linear factors times one factor of degree <= 3
         rng = random.Random(31)
         for _ in range(20):
-            f = UniPoly.one(QQ)
-            for _ in range(rng.randint(1, 3)):
-                g = UniPoly.from_coeffs(
-                    QQ, [rng.randint(-5, 5) for _ in range(rng.randint(2, 4))]
-                )
-                if g.is_zero or g.degree == 0:
-                    continue
-                f = f * g
+            f = UniPoly.from_coeffs(
+                QQ, [rng.randint(-5, 5) for _ in range(rng.randint(2, 4))]
+            )
+            for _ in range(rng.randint(0, 3)):
+                f = f * UniPoly.from_coeffs(QQ, [rng.randint(-5, 5), rng.randint(1, 5)])
             if f.degree < 1:
                 continue
             content, factors = factor_rational(f)
@@ -345,6 +345,80 @@ class TestFactorRational:
             for g, m in factors:
                 rebuilt = rebuilt * g**m
             assert rebuilt == f
+
+    def test_out_of_contract_draw_raises(self, QQ):
+        # two irreducible quadratics and a linear factor: a squarefree part of
+        # degree 5 whose remainder after the rational root has degree 4
+        f = (
+            UniPoly.from_coeffs(QQ, [3, 1, 1])
+            * UniPoly.from_coeffs(QQ, [-5, 0, 2])
+            * UniPoly.from_coeffs(QQ, [4, 3])
+        )
+        with pytest.raises(UnsupportedDegreeError, match="degree 4"):
+            factor_rational(f)
+
+    def test_huge_coefficients_multiply_back(self, QQ):
+        # linear factors v*x - u and a cubic with coefficients up to 10^60
+        rng = random.Random(60)
+        for _ in range(30):
+            planted = set()
+            f = UniPoly.from_coeffs(
+                QQ, [rng.randint(-10**60, 10**60) for _ in range(rng.randint(1, 3))]
+                + [rng.randint(1, 10**60)]
+            )
+            for _ in range(rng.randint(0, 3)):
+                u, v = rng.randint(-10**60, 10**60), rng.randint(1, 10**60)
+                planted.add(Fraction(u, v))
+                f = f * UniPoly.from_coeffs(QQ, [-u, v])
+            content, factors = factor_rational(f)
+            rebuilt = UniPoly.constant(content)
+            found = set()
+            for g, m in factors:
+                assert g.lc().val > 0
+                assert all(c.val.denominator == 1 for c in g.coeffs)
+                if g.degree == 1:
+                    found.add(-g[0].val / g[1].val)
+                rebuilt = rebuilt * g**m
+            assert rebuilt == f
+            assert planted <= found
+
+
+def _divisors(n: int):
+    n = abs(n)
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _divisor_search_roots(ints):
+    """Rational roots of an integer polynomial by the rational root theorem:
+    the oracle for the p-adic lifting in factor_rational."""
+    out = set()
+    while ints[0] == 0:
+        out.add(Fraction(0))
+        ints = ints[1:]
+    for num in _divisors(ints[0]):
+        for den in _divisors(ints[-1]):
+            for r in (Fraction(num, den), Fraction(-num, den)):
+                if sum(c * r**i for i, c in enumerate(ints)) == 0:
+                    out.add(r)
+    return out
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_lifted_roots_match_divisor_search(data):
+    QQ = rational_field()
+    small = st.integers(-12, 12)
+    f = UniPoly.one(QQ)
+    for _ in range(data.draw(st.integers(0, 4))):
+        f = f * UniPoly.from_coeffs(QQ, [-data.draw(small), data.draw(st.integers(1, 12))])
+    if data.draw(st.booleans()):
+        low = data.draw(st.lists(small, min_size=1, max_size=3))
+        f = f * UniPoly.from_coeffs(QQ, low + [data.draw(st.integers(1, 12))])
+    if f.degree < 1:
+        return
+    _, factors = factor_rational(f)
+    lifted = {-g[0].val / g[1].val for g, _ in factors if g.degree == 1}
+    assert lifted == _divisor_search_roots([int(c.val) for c in f.coeffs])
 
 
 def test_division_identity(F31):
@@ -373,8 +447,6 @@ def test_shift_is_ring_homomorphism(data):
 
 def test_factor_rational_fractional_content(QQ):
     # coefficients with denominators: content carries the scaling
-    from fractions import Fraction
-
     f = UniPoly.from_coeffs(QQ, [Fraction(1, 2), Fraction(1, 2)])
     content, factors = factor_rational(f)
     assert content.val == Fraction(1, 2)
