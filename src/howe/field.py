@@ -141,6 +141,8 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
+            if other.field is self.field:
+                return self.val == other.val
             return self.field == other.field and self.val == other.val
         if isinstance(other, int):
             return self.val == self.field(other).val
@@ -401,7 +403,7 @@ class ExtensionField(Field):
     kind = "extension"
 
     def __init__(self, p: int, modulus: tuple, check_irreducible: bool = True):
-        base = PrimeField(p)
+        base = prime_field(p)
         modulus = tuple(int(c) % p for c in modulus)
         if len(modulus) < 3 or modulus[-1] != 1:
             raise UnsupportedFieldError("modulus must be monic of degree >= 2")

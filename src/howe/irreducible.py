@@ -5,19 +5,33 @@ coefficient -4, nonzero restriction to y = 0) can only factor in one of
 two ways:
 
   shape A:  (y^2 + q2(x)) * (y^2 + q4(x))     with deg q2 <= 2,
-            which exists exactly when 16*phi1*phi2, the discriminant of f
-            as a quadratic in y^2, is the square of a polynomial;
+            which exists exactly when the discriminant of f as a quadratic
+            in y^2 is the square of a polynomial;
 
   shape B:  (y^2 + (2x^2 + a1 x + a2) y + g(x))
           * (y^2 - (2x^2 + a1 x + a2) y + g(x))   with a cubic g.
+
+For the model of branch data, f = y^4 - 2(phi1 + phi2) y^2 + (phi1 - phi2)^2,
+and that discriminant is 4(phi1 + phi2)^2 - 4(phi1 - phi2)^2 = 16 phi1 phi2,
+i.e. 16 times the product of (x - v) over the eight branch values v.  When
+the eight values are pairwise distinct it is squarefree of degree 8, hence
+not a square even over the algebraic closure, and shape A is impossible.
+The certificate checks that premise directly (``sextic.check_distinct``);
+the perfect-square search :func:`shape_a_witness` stays for synthetic
+sextics and as the independent route behind :func:`shape_a_test`.
 
 For shape B the outer coefficients pin a3^2 = c60 and a6^2 = c00, both
 literal squares of symmetric-function differences, so all candidate
 coefficients live in the base field and the test needs no field extension;
 failure is certified by the residual values q1..q5 of the five remaining
 coefficient comparisons.  Branch data is translated so that alpha1 = 0
-before testing, which forces a6 != 0 and keeps every division defined;
-a found witness is translated back.
+before testing, which forces a6 != 0 and keeps every division defined.
+The translation acts on the symmetric functions alone (a Taylor shift, see
+:func:`_shifted`), and the 13 coefficients of the translated model come
+from the same closed forms as the model itself, so no polynomial is built.
+Only a case whose residuals all vanish builds the translated model, checks
+the candidate factors by multiplying them back, and translates the witness
+back to the original coordinates.
 
 For every admissible configuration of eight distinct branch values both
 searches come up empty, so the verdict doubles as an executable proof of
@@ -33,7 +47,12 @@ from fractions import Fraction
 from .bipoly import BiPoly
 from .errors import ZeroPolynomialError
 from .field import Field, FieldElement
-from .sextic import RamificationData, build_model
+from .sextic import (
+    RamificationData,
+    build_model,
+    check_distinct,
+    coeffs_from_symmetric,
+)
 from .unipoly import is_perfect_square
 
 
@@ -161,54 +180,56 @@ def _sqrt_candidates(field: Field, value: FieldElement, seed: int = 0):
     return [] if pair is None else list(pair)
 
 
-def _shape_b_cases(f: BiPoly, a3_options, a6_options, a4_options_zero):
+def _shape_b_cases(field: Field, grid: dict, a3_options, a6_options,
+                   a4_options_zero):
     """Iterate the sign cases of the shape-B recipe and collect residuals.
 
-    a4 follows from the x^5 coefficient when a3 != 0 and from the square
-    root of c40 otherwise; a5 from the x coefficient when a6 != 0 and from
-    c20 otherwise.  a1, a2 are always determined linearly.  Residuals are
-    the five remaining coefficient comparisons.
+    ``grid`` holds the sextic's coefficients keyed by (i, j); a missing key
+    is a zero coefficient.  a4 follows from the x^5 coefficient when
+    a3 != 0 and from the square root of c40 otherwise; a5 from the x
+    coefficient when a6 != 0 and from c20 otherwise.  a1, a2 are always
+    determined linearly.  Residuals are the five remaining coefficient
+    comparisons.
     """
-    field = f.field
-    grid = _shape_grid(f)
-
-    def c(i, j):
-        return _c(grid, i, j, field)
-
+    zero = field.zero
+    c50, c40, c30, c20, c10 = (grid.get((i, 0), zero) for i in (5, 4, 3, 2, 1))
+    c32, c22, c12, c02 = (grid.get((i, 2), zero) for i in (3, 2, 1, 0))
     four_inv = field(4).inverse()
     two = field(2)
     cases = []
     seen = []
     for label_a3, a3 in a3_options:
+        two_a3 = two * a3
         if a3.is_zero:
-            if not c(5, 0).is_zero:
+            if not c50.is_zero:
                 continue  # x^5 coefficient 2*a3*a4 cannot match
             a4_opts = a4_options_zero
         else:
-            a4_opts = [("", c(5, 0) / (two * a3))]
+            a4_opts = [("", c50 / two_a3)]
+        a1 = (two_a3 - c32) * four_inv
         for label_a4, a4 in a4_opts:
+            two_a4 = two * a4
+            a2 = (two_a4 - a1 * a1 - c22) * four_inv
             for label_a6, a6 in a6_options:
                 if (a3, a4, a6) in seen:
                     continue
                 seen.append((a3, a4, a6))
                 if a6.is_zero:
-                    if not c(1, 0).is_zero:
+                    if not c10.is_zero:
                         continue
-                    a5_opts = _sqrt_candidates(field, c(2, 0))
+                    a5_opts = _sqrt_candidates(field, c20)
                     if not a5_opts:
                         continue
                 else:
-                    a5_opts = [c(1, 0) / (two * a6)]
+                    a5_opts = [c10 / (two * a6)]
                 label = f"B{label_a3}{label_a4}{label_a6}"
                 for a5 in a5_opts:
-                    a1 = -(c(3, 2) - two * a3) * four_inv
-                    a2 = (two * a4 - a1 * a1 - c(2, 2)) * four_inv
                     residuals = (
-                        two * a3 * a5 + a4 * a4 - c(4, 0),
-                        two * a3 * a6 + two * a4 * a5 - c(3, 0),
-                        -two * a1 * a2 + two * a5 - c(1, 2),
-                        two * a4 * a6 + a5 * a5 - c(2, 0),
-                        -a2 * a2 + two * a6 - c(0, 2),
+                        two_a3 * a5 + a4 * a4 - c40,
+                        two_a3 * a6 + two_a4 * a5 - c30,
+                        two * (a5 - a1 * a2) - c12,
+                        two_a4 * a6 + a5 * a5 - c20,
+                        two * a6 - a2 * a2 - c02,
                     )
                     cases.append(
                         CaseResiduals(label, (a1, a2, a3, a4, a5, a6), residuals)
@@ -248,13 +269,31 @@ def shape_b_witness(f: BiPoly, seed: int = 0):
     a4_options = [(f"'{i + 1}", v) for i, v in enumerate(a4_roots)]
     if not a3_options or not a6_options:
         return None, ()
-    cases = _shape_b_cases(f, a3_options, a6_options, a4_options)
+    cases = _shape_b_cases(field, grid, a3_options, a6_options, a4_options)
     for case in cases:
         if all(r.is_zero for r in case.residuals):
             witness = _witness_from_case(f, case)
             if witness is not None:
                 return witness, tuple(cases)
     return None, tuple(cases)
+
+
+def _shifted(e, c: FieldElement) -> tuple:
+    """Symmetric functions of four roots after adding c to each root.
+
+    Taylor shift of the quartic: e1 + 4c, e2 + 3c e1 + 6c^2,
+    e3 + 2c e2 + 3c^2 e1 + 4c^3, e4 + c e3 + c^2 e2 + c^3 e1 + c^4,
+    evaluated in Horner form.
+    """
+    field = c.field
+    e1, e2, e3, e4 = e
+    three, four = field(3), field(4)
+    return (
+        e1 + four * c,
+        e2 + c * (three * e1 + field(6) * c),
+        e3 + c * (field(2) * e2 + c * (three * e1 + four * c)),
+        e4 + c * (e3 + c * (e2 + c * (e1 + c))),
+    )
 
 
 def shape_b_test(rd: RamificationData):
@@ -265,14 +304,20 @@ def shape_b_test(rd: RamificationData):
     defined in all four sign cases.  Case labels: B1..B4 for the sign
     choices of (a3, a6) when a3 != 0, and B0.xy variants when sigma1 = tau1
     forces a3 = 0 (then a4 = +-(sigma2 - tau2) instead).
+
+    The shifted symmetric functions and the coefficient grid are computed
+    in closed form; a repeated branch value raises
+    :class:`DuplicateRamificationPointError` before any of it.
     """
-    shift = rd.alphas[0]
-    rd0 = rd.translated(-shift)
-    f0 = build_model(rd0, cross_check=False).f
+    check_distinct(rd.alphas + rd.betas)
     field = rd.field
-    d1 = rd0.sigma[0] - rd0.tau[0]
-    d2 = rd0.sigma[1] - rd0.tau[1]
-    d4 = rd0.sigma[3] - rd0.tau[3]
+    shift = rd.alphas[0]
+    sigma = _shifted(rd.sigma, -shift)
+    tau = _shifted(rd.tau, -shift)
+    grid = coeffs_from_symmetric(field, sigma, tau).grid()
+    d1 = sigma[0] - tau[0]
+    d2 = sigma[1] - tau[1]
+    d4 = sigma[3] - tau[3]
 
     if d1.is_zero:
         a3_options = [("0", field.zero)]
@@ -286,10 +331,11 @@ def shape_b_test(rd: RamificationData):
         a4_zero = []
         a6_options = [("+", d4), ("-", -d4)]
 
-    cases = _shape_b_cases(f0, a3_options, a6_options, a4_zero)
+    cases = _shape_b_cases(field, grid, a3_options, a6_options, a4_zero)
     cases = _relabel_proof_cases(cases, d1, d4)
     for case in cases:
         if all(r.is_zero for r in case.residuals):
+            f0 = build_model(rd.translated(-shift), cross_check=False).f
             witness0 = _witness_from_case(f0, case)
             if witness0 is not None:
                 # translate the witness back to the original coordinates
@@ -321,21 +367,22 @@ def _relabel_proof_cases(cases, d1, d4):
 
 
 def is_absolutely_irreducible(rd: RamificationData) -> IrreducibilityVerdict:
-    """Run both shape searches; irreducible exactly when both come up empty.
+    """Certify that the sextic of ``rd`` has no shape-A or shape-B factor.
 
     Every factorization of a sextic of this shape over any extension of the
-    base field is of shape A or shape B, and the candidate coefficients for
-    both shapes already lie in the base field, so an empty search certifies
-    absolute irreducibility.
+    base field is of shape A or shape B.  Shape A needs the discriminant
+    16 phi1 phi2 of f as a quadratic in y^2 to be a square; it is squarefree
+    of degree 8 once the eight branch values are pairwise distinct, so
+    ``shape_a_witness`` is ``None`` without a search.  Shape B is decided by
+    :func:`shape_b_test`, which checks that premise first (raising
+    :class:`DuplicateRamificationPointError` on a repeated value) and
+    computes every residual from the symmetric functions; a sextic is
+    built only when some case's residuals all vanish.
     """
-    model = build_model(rd, cross_check=False)
-    if model.f.y_slice(0).is_zero:
-        raise ZeroPolynomialError("f(x, 0) = 0; branch data must be invalid")
-    wa = shape_a_witness(model.f)
     wb, residuals = shape_b_test(rd)
     return IrreducibilityVerdict(
-        irreducible=wa is None and wb is None,
-        shape_a_witness=wa,
+        irreducible=wb is None,
+        shape_a_witness=None,
         shape_b_witness=wb,
         shape_b_residuals=residuals,
     )

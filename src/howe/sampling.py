@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 
+from .errors import UnsupportedFieldError
 from .field import Field
 from .irreducible import is_absolutely_irreducible
 from .sextic import validate
@@ -53,6 +54,16 @@ def draw_branch_data(field: Field, rng: random.Random):
 
 def sample_types(field: Field, count: int, seed: int = 0,
                  with_irreducibility: bool = True) -> SampleSummary:
+    """Tally the types of ``count`` seeded draws over a finite field.
+
+    A field with fewer than eight elements holds no configuration of eight
+    distinct values, so it raises :class:`UnsupportedFieldError` up front
+    instead of redrawing forever.
+    """
+    if field.kind != "rational" and field.order < 8:
+        raise UnsupportedFieldError(
+            f"{field} has {field.order} elements; sampling needs at least 8"
+        )
     summary = SampleSummary(count, seed)
     for i in range(count):
         rng = random.Random(seed ^ i)

@@ -79,6 +79,28 @@ def _symmetric_functions(phi: UniPoly):
     return (-phi[3], phi[2], -phi[1], phi[0])
 
 
+_SLOT_NAMES = tuple(f"alpha{i + 1}" for i in range(4)) + tuple(
+    f"beta{j + 1}" for j in range(4)
+)
+
+
+def check_distinct(values) -> None:
+    """Raise on the first equal pair among alpha1..alpha4, beta1..beta4.
+
+    Canonical values of one field are equal exactly when their ``val`` is,
+    so eight distinct ``val``s settle the common case without a pairwise
+    comparison; otherwise the scan names both offending slots.
+    """
+    if len({v.val for v in values}) == 8:
+        return
+    for i in range(8):
+        for j in range(i + 1, 8):
+            if values[i] == values[j]:
+                raise DuplicateRamificationPointError(
+                    _SLOT_NAMES[i], _SLOT_NAMES[j], values[i]
+                )
+
+
 def validate(alphas, betas) -> RamificationData:
     """Check the eight branch values and compute their symmetric functions.
 
@@ -98,11 +120,7 @@ def validate(alphas, betas) -> RamificationData:
             field = v.field
         elif v.field != field:
             raise MixedFieldsError("ramification points from different fields")
-    names = [f"alpha{i + 1}" for i in range(4)] + [f"beta{j + 1}" for j in range(4)]
-    for i in range(8):
-        for j in range(i + 1, 8):
-            if values[i] == values[j]:
-                raise DuplicateRamificationPointError(names[i], names[j], values[i])
+    check_distinct(values)
     phi1 = UniPoly.from_roots(alphas, field)
     phi2 = UniPoly.from_roots(betas, field)
     return RamificationData(
@@ -131,25 +149,27 @@ class SexticCoefficients:
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in COEFF_NAMES}
 
+    def grid(self) -> dict:
+        """The coefficients keyed by their exponent pair (i, j) of x^i y^j."""
+        return {(int(n[1]), int(n[2])): getattr(self, n) for n in COEFF_NAMES}
+
     def to_bipoly(self, field: Field) -> BiPoly:
-        exps = {
-            "c60": (6, 0), "c50": (5, 0), "c42": (4, 2), "c40": (4, 0),
-            "c32": (3, 2), "c30": (3, 0), "c22": (2, 2), "c20": (2, 0),
-            "c12": (1, 2), "c10": (1, 0), "c04": (0, 4), "c02": (0, 2),
-            "c00": (0, 0),
-        }
-        return BiPoly(field, {exps[n]: getattr(self, n) for n in COEFF_NAMES})
+        return BiPoly(field, self.grid())
 
 
 def sextic_coeffs(rd: RamificationData) -> SexticCoefficients:
+    """Closed-form coefficients of the model of validated branch data."""
+    return coeffs_from_symmetric(rd.field, rd.sigma, rd.tau)
+
+
+def coeffs_from_symmetric(field: Field, sigma, tau) -> SexticCoefficients:
     """Closed-form coefficients from the symmetric-function differences.
 
     Constant operation count: thirteen short products and sums, no
     polynomial arithmetic and no dependence on the characteristic.
     """
-    field = rd.field
-    s1, s2, s3, s4 = rd.sigma
-    t1, t2, t3, t4 = rd.tau
+    s1, s2, s3, s4 = sigma
+    t1, t2, t3, t4 = tau
     d1, d2, d3, d4 = s1 - t1, s2 - t2, s3 - t3, s4 - t4
     two = field(2)
     return SexticCoefficients(

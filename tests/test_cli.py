@@ -206,6 +206,16 @@ class TestSample:
         assert code == 2
         assert "prime" in err
 
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_field_too_small_for_eight_values_exit_2(self, capsys, p):
+        # F_5 and F_7 hold no eight distinct branch values
+        start = time.perf_counter()
+        code, out, err = run(capsys, "sample", "--field", f"p={p}", "--count", "1")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "at least 8" in err
+
 
 class TestScan:
     def test_reference_agreement(self, capsys):

@@ -13,6 +13,7 @@ from howe import (
     prime_field,
     rational_field,
 )
+from howe.field import PrimeField
 from howe.unipoly import UniPoly, is_irreducible
 
 
@@ -55,6 +56,12 @@ class TestPrimeField:
     def test_mixed_fields_rejected(self, F31, F7):
         with pytest.raises(MixedFieldsError):
             F31(1) + F7(1)
+        # equality across fields is False rather than an error; an equal
+        # field held as a separate instance still compares by value
+        assert F31(1) != F7(1)
+        assert PrimeField(31)(5) == F31(5)
+        assert PrimeField(31)(5) != F31(6)
+        assert F31(3) == 3 and F31(3) == 34 and F31(3) != 4
 
     def test_small_and_composite_moduli_rejected(self):
         for bad in (2, 3, 4, 9, 15):
@@ -150,6 +157,9 @@ class TestExtension:
         x = g * g + g + E(5)
         assert x * x.inverse() == E.one
         assert x ** (E.order - 1) == E.one
+
+    def test_base_is_the_cached_prime_field(self):
+        assert build_extension(13, 2, 0).base is prime_field(13)
 
     def test_embed_roundtrip(self):
         E = build_extension(13, 2, 0)

@@ -2,20 +2,28 @@
 on synthetic reducible sextics, and closed-form residual identities."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+import howe.irreducible as irreducible
 from howe import (
     BiPoly,
+    DuplicateRamificationPointError,
+    RamificationData,
+    build_extension,
     build_model,
     is_absolutely_irreducible,
     prime_field,
+    rational_field,
     shape_a_test,
     shape_a_witness,
     shape_b_test,
     shape_b_witness,
+    validate,
 )
+from howe.irreducible import _relabel_proof_cases, _shape_b_cases, _shape_grid
 from howe.reference import REFERENCE_EXAMPLES, reference_data
 from howe.unipoly import UniPoly
 
@@ -195,3 +203,155 @@ class TestGuards:
         f = BiPoly(F31, {(0, 4): 1, (4, 2): -4, (0, 2): 1})
         with pytest.raises(Exception):
             shape_a_witness(f)
+
+
+def shape_b_cases_from_model(rd):
+    """The shape-B cases by polynomial arithmetic: translate the branch data
+    so that alpha1 = 0, build the sextic as a BiPoly and read its grid.
+
+    Independent of the closed-form Taylor shift and coefficient grid that
+    :func:`shape_b_test` uses; only the case recipe is shared.
+    """
+    rd0 = rd.translated(-rd.alphas[0])
+    f0 = build_model(rd0, cross_check=False).f
+    field = rd.field
+    d1 = rd0.sigma[0] - rd0.tau[0]
+    d2 = rd0.sigma[1] - rd0.tau[1]
+    d4 = rd0.sigma[3] - rd0.tau[3]
+    if d1.is_zero:
+        a3_options = [("0", field.zero)]
+        a4_zero = [(".1", field.zero)] if d2.is_zero else [(".1", d2), (".2", -d2)]
+        a6_options = [(".1", d4), (".2", -d4)]
+    else:
+        a3_options = [("+", d1), ("-", -d1)]
+        a4_zero = []
+        a6_options = [("+", d4), ("-", -d4)]
+    cases = _shape_b_cases(field, _shape_grid(f0), a3_options, a6_options, a4_zero)
+    return _relabel_proof_cases(cases, d1, d4)
+
+
+def _plain_pool(field, rng, n, span=None):
+    return [random_branch_data(field, rng, span) for _ in range(n)]
+
+
+def _a3_zero_pool(field, rng, n, span=None, symmetric=False):
+    """n valid configurations with s1 = t1 (beta4 is solved for), or, with
+    ``symmetric``, (a, -a, b, -b | c, -c, d, -d) where a^2 + b^2 = c^2 + d^2,
+    so that s1 = t1 and s2 = t2."""
+    out = []
+    while len(out) < n:
+        if symmetric:
+            a, b, c = (field.random_element(rng) for _ in range(3))
+            root = field.sqrt(a * a + b * b - c * c, 0)
+            if root is None:
+                continue
+            d = root[0]
+            vals = [a, -a, b, -b, c, -c, d, -d]
+        else:
+            vals = [field.random_element(rng) if span is None
+                    else field(rng.randint(-span, span)) for _ in range(7)]
+            vals.append(sum(vals[:4], field.zero) - vals[4] - vals[5] - vals[6])
+        if len({v.val for v in vals}) == 8:
+            out.append(validate(vals[:4], vals[4:]))
+    return out
+
+
+def _oracle_pools():
+    F10007 = prime_field(10007)
+    QQ = rational_field()
+    return {
+        "F31": _plain_pool(prime_field(31), random.Random(41), 60),
+        "F10007": _plain_pool(F10007, random.Random(42), 60),
+        "Q_H50": _plain_pool(QQ, random.Random(43), 30, span=50),
+        "Q_H1000": _plain_pool(QQ, random.Random(44), 30, span=1000),
+        "Q_H1e30": _plain_pool(QQ, random.Random(45), 8, span=10**30),
+        "s1=t1": _a3_zero_pool(F10007, random.Random(46), 30),
+        "s1=t1 over Q": _a3_zero_pool(QQ, random.Random(47), 15, span=100),
+        "s1=t1, s2=t2": _a3_zero_pool(F10007, random.Random(48), 30, symmetric=True),
+        "F25": _plain_pool(build_extension(5, 2, 0), random.Random(49), 30),
+    }
+
+
+ORACLE_POOLS = _oracle_pools()
+
+
+class TestClosedFormAgainstModel:
+    @pytest.mark.parametrize("name", sorted(ORACLE_POOLS))
+    def test_shape_b_cases_match_model_route(self, name):
+        for rd in ORACLE_POOLS[name]:
+            witness, cases = shape_b_test(rd)
+            assert witness is None
+            expected = shape_b_cases_from_model(rd)
+            assert [c.case for c in cases] == [c.case for c in expected]
+            assert [c.coefficients for c in cases] == [c.coefficients for c in expected]
+            assert [c.residuals for c in cases] == [c.residuals for c in expected]
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_POOLS))
+    def test_shape_a_search_agrees_with_distinctness(self, name):
+        for rd in ORACLE_POOLS[name]:
+            assert shape_a_test(rd) is None
+            assert is_absolutely_irreducible(rd).shape_a_witness is None
+
+    def test_pools_reach_the_a3_zero_cases(self):
+        labels = {c.case for rd in ORACLE_POOLS["s1=t1, s2=t2"]
+                  for c in shape_b_test(rd)[1]}
+        assert labels == {"B0.1", "B0.2"}
+        labels = {c.case for rd in ORACLE_POOLS["s1=t1"]
+                  for c in shape_b_test(rd)[1]}
+        assert labels == {"B0.1", "B0.2", "B0.3", "B0.4"}
+
+    def test_certificate_builds_no_model(self, monkeypatch):
+        calls = []
+
+        def counting_build_model(*args, **kwargs):
+            calls.append(args)
+            return build_model(*args, **kwargs)
+
+        monkeypatch.setattr(irreducible, "build_model", counting_build_model)
+        for name in ("F31", "Q_H1000", "s1=t1", "F25"):
+            for rd in ORACLE_POOLS[name]:
+                assert is_absolutely_irreducible(rd).irreducible
+        assert calls == []
+
+    def test_vanishing_residuals_take_the_polynomial_route(self, monkeypatch):
+        # valid data never gets here; inject a case whose residuals all
+        # vanish and check that its candidate is multiplied back and refuted
+        calls = []
+
+        def counting_build_model(*args, **kwargs):
+            calls.append(args)
+            return build_model(*args, **kwargs)
+
+        def with_vanishing_case(field, grid, *options):
+            cases = _shape_b_cases(field, grid, *options)
+            zero = (field.zero,) * 5
+            return cases + [irreducible.CaseResiduals("B", cases[0].coefficients, zero)]
+
+        monkeypatch.setattr(irreducible, "build_model", counting_build_model)
+        monkeypatch.setattr(irreducible, "_shape_b_cases", with_vanishing_case)
+        rd = ORACLE_POOLS["F31"][0]
+        verdict = is_absolutely_irreducible(rd)
+        assert verdict.irreducible
+        assert len(calls) == 1  # the translated model, never the original
+
+    def test_repeated_value_in_hand_built_data_rejected(self, F31):
+        for alphas, betas in [((1, 2, 3, 4), (4, 5, 6, 7)),
+                              ((1, 2, 2, 4), (8, 5, 6, 7))]:
+            a = tuple(F31(v) for v in alphas)
+            b = tuple(F31(v) for v in betas)
+            phi1 = UniPoly.from_roots(a, F31)
+            phi2 = UniPoly.from_roots(b, F31)
+            sigma = (-phi1[3], phi1[2], -phi1[1], phi1[0])
+            tau = (-phi2[3], phi2[2], -phi2[1], phi2[0])
+            rd = RamificationData(a, b, sigma, tau, phi1, phi2)
+            with pytest.raises(DuplicateRamificationPointError):
+                is_absolutely_irreducible(rd)
+            with pytest.raises(DuplicateRamificationPointError):
+                shape_b_test(rd)
+
+    def test_large_height_is_fast(self):
+        rds = _plain_pool(rational_field(), random.Random(50), 20, span=10**30)
+        start = time.perf_counter()
+        for rd in rds:
+            assert is_absolutely_irreducible(rd).irreducible
+        assert time.perf_counter() - start < 1.0
