@@ -29,9 +29,11 @@ before testing, which forces a6 != 0 and keeps every division defined.
 The translation acts on the symmetric functions alone (a Taylor shift, see
 :func:`_shifted`), and the 13 coefficients of the translated model come
 from the same closed forms as the model itself, so no polynomial is built.
-Only a case whose residuals all vanish builds the translated model, checks
-the candidate factors by multiplying them back, and translates the witness
-back to the original coordinates.
+A shape-B factor would force 4 phi1 or 4 phi2 to be a square (see
+:func:`shape_b_test`), so on distinct branch data no case has all residuals
+zero; such a case raises instead of being multiplied back.
+:func:`shape_b_witness` keeps the multiply-back search for synthetic
+sextics.
 
 For every admissible configuration of eight distinct branch values both
 searches come up empty, so the verdict doubles as an executable proof of
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bipoly import BiPoly
-from .errors import ZeroPolynomialError
+from .errors import ConstructionMismatchError, ZeroPolynomialError
 from .field import Field, FieldElement
 from .sextic import (
     RamificationData,
@@ -308,6 +310,16 @@ def shape_b_test(rd: RamificationData):
     The shifted symmetric functions and the coefficient grid are computed
     in closed form; a repeated branch value raises
     :class:`DuplicateRamificationPointError` before any of it.
+
+    On such data no case can have all five residuals zero, so the witness
+    is always ``None``.  Residuals that all vanish would make
+    (y^2 + L y + g)(y^2 - L y + g) = (y^2 + g)^2 - L^2 y^2 equal to
+    f = y^4 - 2(phi1 + phi2) y^2 + (phi1 - phi2)^2 (translated), with
+    L = 2x^2 + a1 x + a2.  Comparing the y^0 terms gives g = +-(phi1 - phi2),
+    and then the y^2 terms give L^2 = 2g + 2(phi1 + phi2) = 4 phi1 or
+    4 phi2.  But phi1 and phi2 each have four distinct roots, so neither is
+    a square.  Vanishing residuals therefore mean a broken invariant and
+    raise :class:`ConstructionMismatchError`.
     """
     check_distinct(rd.alphas + rd.betas)
     field = rd.field
@@ -335,18 +347,9 @@ def shape_b_test(rd: RamificationData):
     cases = _relabel_proof_cases(cases, d1, d4)
     for case in cases:
         if all(r.is_zero for r in case.residuals):
-            f0 = build_model(rd.translated(-shift), cross_check=False).f
-            witness0 = _witness_from_case(f0, case)
-            if witness0 is not None:
-                # translate the witness back to the original coordinates
-                H1 = witness0.h1.shift_x(-shift)
-                H2 = witness0.h2.shift_x(-shift)
-                f = build_model(rd, cross_check=False).f
-                if H1 * H2 == f:
-                    return (
-                        ShapeBWitness(witness0.case, witness0.coefficients, H1, H2),
-                        tuple(cases),
-                    )
+            raise ConstructionMismatchError(
+                f"shape-B case {case.case} has vanishing residuals on distinct branch data"
+            )
     return None, tuple(cases)
 
 
@@ -376,8 +379,9 @@ def is_absolutely_irreducible(rd: RamificationData) -> IrreducibilityVerdict:
     ``shape_a_witness`` is ``None`` without a search.  Shape B is decided by
     :func:`shape_b_test`, which checks that premise first (raising
     :class:`DuplicateRamificationPointError` on a repeated value) and
-    computes every residual from the symmetric functions; a sextic is
-    built only when some case's residuals all vanish.
+    computes every residual from the symmetric functions without building
+    a sextic.  A case whose residuals all vanish is impossible on such data
+    and raises :class:`ConstructionMismatchError`.
     """
     wb, residuals = shape_b_test(rd)
     return IrreducibilityVerdict(

@@ -74,9 +74,19 @@ class RamificationData:
         return f"RamificationData(alpha=({a}), beta=({b}) over {self.field})"
 
 
-def _symmetric_functions(phi: UniPoly):
-    # phi = x^4 - s1 x^3 + s2 x^2 - s3 x + s4
-    return (-phi[3], phi[2], -phi[1], phi[0])
+def _symmetric_functions(roots) -> tuple:
+    """e1..e4 of four roots, from the pairs (r1, r2) and (r3, r4):
+    with p = r1 r2, q = r3 r4, u = r1 + r2, v = r3 + r4,
+    e1 = u + v, e2 = p + q + u v, e3 = p v + q u, e4 = p q."""
+    r1, r2, r3, r4 = roots
+    p, q, u, v = r1 * r2, r3 * r4, r1 + r2, r3 + r4
+    return (u + v, p + q + u * v, p * v + q * u, p * q)
+
+
+def _quartic(field: Field, e) -> UniPoly:
+    """x^4 - e1 x^3 + e2 x^2 - e3 x + e4."""
+    e1, e2, e3, e4 = e
+    return UniPoly(field, (e4, -e3, e2, -e1, field.one))
 
 
 _SLOT_NAMES = tuple(f"alpha{i + 1}" for i in range(4)) + tuple(
@@ -105,7 +115,11 @@ def validate(alphas, betas) -> RamificationData:
     """Check the eight branch values and compute their symmetric functions.
 
     All values must live in one field and be pairwise distinct; a collision
-    is reported with the names of both offending slots.
+    is reported with the names of both offending slots.  sigma and tau are
+    the elementary symmetric sums of each quadruple, and phi1, phi2 are
+    written down from them, with no polynomial products
+    (``UniPoly.from_roots`` gives the same quartics and is the tests'
+    oracle).
     """
     alphas = tuple(alphas)
     betas = tuple(betas)
@@ -121,10 +135,10 @@ def validate(alphas, betas) -> RamificationData:
         elif v.field != field:
             raise MixedFieldsError("ramification points from different fields")
     check_distinct(values)
-    phi1 = UniPoly.from_roots(alphas, field)
-    phi2 = UniPoly.from_roots(betas, field)
+    sigma = _symmetric_functions(alphas)
+    tau = _symmetric_functions(betas)
     return RamificationData(
-        alphas, betas, _symmetric_functions(phi1), _symmetric_functions(phi2), phi1, phi2
+        alphas, betas, sigma, tau, _quartic(field, sigma), _quartic(field, tau)
     )
 
 
@@ -212,12 +226,14 @@ def assemble_sextic(rd: RamificationData) -> BiPoly:
 @dataclass(frozen=True)
 class SexticModel:
     """A sextic plane model: coefficients, affine polynomial f, projective
-    closure F, and the branch data it came from."""
+    closure F, and the branch data it came from.  ``cross_checked`` records
+    that f was compared with the direct assembly and matched."""
 
     rd: RamificationData
     coeffs: SexticCoefficients
     f: BiPoly
     F: HomPoly
+    cross_checked: bool = False
 
     @property
     def field(self) -> Field:
@@ -240,7 +256,7 @@ def build_model(rd: RamificationData, cross_check: bool = True) -> SexticModel:
         getattr(coeffs, n).is_zero for n in ("c60", "c40", "c20", "c00")
     ):  # would make f divisible by y^2; impossible for distinct branch values
         raise ConstructionMismatchError("degenerate sextic: f(x, 0) = 0")
-    return SexticModel(rd, coeffs, f, homogenize(f, 6))
+    return SexticModel(rd, coeffs, f, homogenize(f, 6), cross_checked=cross_check)
 
 
 def genus_of_howe(g1: int, g2: int, r: int) -> int:

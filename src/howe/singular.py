@@ -19,6 +19,15 @@ reproduces the (affine, infinity) count table:
     II-3    deg h1 = 1                                     (1, 2)
     II-4    deg h1 = 0                                     (0, 2)
 
+The resultants are closed forms in a = s1 - t1, b = t2 - s2, c = s3 - t3,
+d = t4 - s4 (so h1 = a x^3 + b x^2 + c x + d), in the Sylvester convention of
+``unipoly.resultant``: for a cubic, Res(h1, h1') = -a disc(h1) with
+disc(h1) = b^2 c^2 - 4 a c^3 - 4 b^3 d - 27 a^2 d^2 + 18 a b c d, and
+Res(h1', h1'') = -12 a (b^2 - 3 a c); for a quadratic (a = 0),
+Res(h1, h1') = -b disc(h1) with disc(h1) = c^2 - 4 b d (Cohen, *A Course
+in Computational Algebraic Number Theory*, 3.3).  ``resultant`` and
+``sylvester_matrix`` stay public as the independent oracle.
+
 Every singular point has multiplicity exactly 2, certified by a nonzero
 second partial.  The certificates are closed forms in the branch data:
 F_yy = -8 phi1(xi) at an affine point (xi:0:1), F_zz = 2 c04 at (0:1:0),
@@ -41,7 +50,7 @@ from .errors import (
     UnsupportedFieldError,
 )
 from .field import Field, FieldElement
-from .unipoly import UniPoly, factor_rational, gcd, resultant, roots
+from .unipoly import UniPoly, factor_rational, gcd, roots
 from .sextic import RamificationData, SexticModel, build_model
 
 TYPE_TABLE = {
@@ -82,26 +91,36 @@ class SingularityType:
 
 
 def classify(rd: RamificationData) -> SingularityType:
-    """Branch on the degree of h1 and the resultant criteria."""
-    h1 = h1_poly(rd)
-    h1p = h1.derivative()
-    if h1.degree == 3:
-        r1 = resultant(h1, h1p)
+    """Branch on the degree of h1 and the resultant criteria.
+
+    The resultant values are the closed forms of the module docstring, read
+    off the symmetric-function differences without building h1.  They are
+    the Sylvester determinants at the true degrees that ``resultant`` uses
+    because the field constructors reject characteristic 2 and 3: a cubic
+    h1 has h1' of degree 2 and h1'' of degree 1, a quadratic one h1' of
+    degree 1.
+    """
+    s1, s2, s3, s4 = rd.sigma
+    t1, t2, t3, t4 = rd.tau
+    a, b, c, d = s1 - t1, t2 - s2, s3 - t3, t4 - s4
+    if not a.is_zero:
+        bb, cc = b * b, c * c
+        disc = (bb * cc - 4 * a * cc * c - 4 * bb * b * d
+                - 27 * a * a * d * d + 18 * a * b * c * d)
+        r1 = -(a * disc)
         if not r1.is_zero:
             return SingularityType("I-1", 3, 1, res_h1_h1p=r1)
-        r2 = resultant(h1p, h1p.derivative())
+        r2 = -12 * a * (bb - 3 * a * c)
         if not r2.is_zero:
             return SingularityType("I-2", 2, 1, res_h1_h1p=r1, res_h1p_h1pp=r2)
         return SingularityType("I-3", 1, 1, res_h1_h1p=r1, res_h1p_h1pp=r2)
-    if h1.degree == 2:
-        # resultant of the genuine quadratic, equivalently its discriminant
-        a, b, c = h1[2], h1[1], h1[0]
-        disc = b * b - rd.field(4) * a * c
-        r1 = resultant(h1, h1p)
+    if not b.is_zero:
+        disc = c * c - 4 * b * d
+        r1 = -(b * disc)
         if not r1.is_zero:
             return SingularityType("II-1", 2, 2, res_h1_h1p=r1, disc_h1=disc)
         return SingularityType("II-2", 1, 2, res_h1_h1p=r1, disc_h1=disc)
-    if h1.degree == 1:
+    if not c.is_zero:
         return SingularityType("II-3", 1, 2)
     # h1 is a nonzero constant: s4 != t4 because the branch values are distinct
     return SingularityType("II-4", 0, 2)
@@ -172,7 +191,8 @@ def _affine_point(model: SexticModel, h1: UniPoly, xi: FieldElement,
 
 
 def singular_points(rd: RamificationData, rng_seed: int = 0,
-                    model: SexticModel | None = None):
+                    model: SexticModel | None = None,
+                    kind: SingularityType | None = None):
     """All singular points of the projective closure, certificates included.
 
     (0:1:0) is always present; (1:0:0) joins exactly when s1 = t1.  Affine
@@ -187,11 +207,15 @@ def singular_points(rd: RamificationData, rng_seed: int = 0,
     first identity and the Euler relation).  Modulo m, f_yy(x, 0) =
     -4 (phi1 + phi2) is -8 phi1.  A failed check raises NotSingularError,
     a vanishing certificate MultiplicityExceedsTwoError.
+
+    ``model`` and ``kind`` default to ``build_model(rd, cross_check=False)``
+    and ``classify(rd)``; a caller that already holds them passes them in.
     """
     if model is None:
         model = build_model(rd, cross_check=False)
+    if kind is None:
+        kind = classify(rd)
     field = rd.field
-    kind = classify(rd)
     h1 = h1_poly(rd)
     s1, s2, s3, s4 = rd.sigma
     t1, t2, t3, t4 = rd.tau

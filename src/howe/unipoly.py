@@ -313,15 +313,14 @@ def resultant(f: UniPoly, g: UniPoly) -> FieldElement:
     """Resultant of (f, g), equal to the Sylvester determinant with f-rows first.
 
     Equivalently lc(f)^deg(g) * prod g(r) over the roots r of f counted with
-    multiplicity.  Finite fields use the Euclidean remainder recurrence; over
-    Q the computation clears denominators and runs the integer subresultant
-    remainder sequence, which controls coefficient growth.
+    multiplicity.  Computed by the Euclidean remainder recurrence, exactly
+    over every field (over Q on ``Fraction`` coefficients).  The pipeline
+    classifies by closed forms (``singular.classify``); this routine is the
+    public general case and the oracle they are tested against.
     """
     if f.is_zero or g.is_zero:
         raise ZeroPolynomialError("resultant of a zero polynomial")
     f._check(g)
-    if f.field.kind == "rational":
-        return _resultant_rational(f, g)
     return _resultant_prs(f, g)
 
 
@@ -351,14 +350,6 @@ def _resultant_prs(f: UniPoly, g: UniPoly) -> FieldElement:
             return acc * sign * g.lc() ** f.degree
 
 
-def _resultant_rational(f: UniPoly, g: UniPoly) -> FieldElement:
-    field = f.field
-    fa, cf = _int_primitive(f)
-    ga, cg = _int_primitive(g)
-    res = _int_subresultant_res(fa, ga)
-    return field(cf**g.degree * cg**f.degree * res)
-
-
 def _int_primitive(f: UniPoly):
     """Integer coefficient list and rational content c with f = c * list."""
     dens = [c.val.denominator for c in f.coeffs]
@@ -373,61 +364,6 @@ def _int_primitive(f: UniPoly):
     if ints[-1] < 0:
         g = -g
     return [v // g for v in ints], Fraction(g, lcm)
-
-
-def _int_prem(a, b):
-    """Pseudo-remainder R with lc(b)^(deg a - deg b + 1) * a = q*b + R, over Z."""
-    db = len(b) - 1
-    lb = b[-1]
-    e = len(a) - 1 - db + 1
-    r = list(a)
-    while r and len(r) - 1 >= db:
-        lr = r[-1]
-        shift = len(r) - 1 - db
-        r = [lb * c for c in r]
-        for j in range(db + 1):
-            r[shift + j] -= lr * b[j]
-        r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-        e -= 1
-    if e > 0:
-        scale = lb**e
-        r = [scale * c for c in r]
-    return r
-
-
-def _int_subresultant_res(a, b):
-    """Resultant of two integer polynomials by the subresultant PRS."""
-    da, db = len(a) - 1, len(b) - 1
-    if da == 0:
-        return a[0] ** db
-    if db == 0:
-        return b[0] ** da
-    s = 1
-    if da < db:
-        a, b = b, a
-        da, db = db, da
-        if (da * db) % 2 == 1:
-            s = -s
-    g, h = 1, 1
-    while True:
-        delta = da - db
-        if (da * db) % 2 == 1:
-            s = -s
-        r = _int_prem(a, b)
-        if not r:
-            return 0
-        denom = g * h**delta
-        a, da = b, db
-        b = [c // denom for c in r]
-        db = len(b) - 1
-        g = a[-1]
-        h = h if delta == 0 else (g**delta // h ** (delta - 1) if delta > 1 else g)
-        if db == 0:
-            break
-    h = b[0] ** da // h ** (da - 1) if da > 1 else b[0] ** da
-    return s * h
 
 
 def squarefree_decomposition(f: UniPoly):
@@ -446,11 +382,15 @@ def squarefree_decomposition(f: UniPoly):
 
 
 def _sqf_yun(f: UniPoly):
+    """Yun's algorithm on a monic f over Q; a squarefree f (gcd(f, f') = 1)
+    returns [(f, 1)] after that single gcd."""
     if f.degree < 1:
         return []
     factors = []
     d = f.derivative()
     a = gcd(f, d)
+    if a.degree == 0:
+        return [(f, 1)]
     b = f // a
     c = d // a
     d = c - b.derivative()
@@ -467,6 +407,13 @@ def _sqf_yun(f: UniPoly):
 
 
 def _sqf_char_p(f: UniPoly):
+    """Squarefree decomposition of a monic f over a finite field.
+
+    Yun-style loop on gcd(f, f'); exponents divisible by p are handled by
+    taking the p-th root of what is left and scaling the multiplicities.
+    When gcd(f, f') = 1 the remaining f is squarefree and is returned
+    after that single gcd: the common case of the pipeline's h1.
+    """
     field = f.field
     p = field.characteristic
     one = UniPoly.one(field)
@@ -476,6 +423,9 @@ def _sqf_char_p(f: UniPoly):
         d = f.derivative()
         if not d.is_zero:
             g = gcd(f, d)
+            if g.degree == 0:
+                factors.append((f, n))
+                break
             h = f // g
             i = 1
             while h != one:

@@ -10,6 +10,7 @@ import pytest
 import howe.irreducible as irreducible
 from howe import (
     BiPoly,
+    ConstructionMismatchError,
     DuplicateRamificationPointError,
     RamificationData,
     build_extension,
@@ -313,9 +314,10 @@ class TestClosedFormAgainstModel:
                 assert is_absolutely_irreducible(rd).irreducible
         assert calls == []
 
-    def test_vanishing_residuals_take_the_polynomial_route(self, monkeypatch):
-        # valid data never gets here; inject a case whose residuals all
-        # vanish and check that its candidate is multiplied back and refuted
+    def test_vanishing_residuals_raise(self, monkeypatch):
+        # valid data never gets here (4 phi1 and 4 phi2 are not squares);
+        # inject a case whose residuals all vanish and check that it is
+        # reported as a broken invariant, without building a model
         calls = []
 
         def counting_build_model(*args, **kwargs):
@@ -330,9 +332,9 @@ class TestClosedFormAgainstModel:
         monkeypatch.setattr(irreducible, "build_model", counting_build_model)
         monkeypatch.setattr(irreducible, "_shape_b_cases", with_vanishing_case)
         rd = ORACLE_POOLS["F31"][0]
-        verdict = is_absolutely_irreducible(rd)
-        assert verdict.irreducible
-        assert len(calls) == 1  # the translated model, never the original
+        with pytest.raises(ConstructionMismatchError):
+            is_absolutely_irreducible(rd)
+        assert calls == []
 
     def test_repeated_value_in_hand_built_data_rejected(self, F31):
         for alphas, betas in [((1, 2, 3, 4), (4, 5, 6, 7)),

@@ -23,7 +23,9 @@ from howe import (
     validate,
 )
 
-from conftest import expand_from_roots, random_branch_data
+from howe.unipoly import UniPoly
+
+from conftest import closed_form_pools, expand_from_roots, random_branch_data
 
 
 class TestValidate:
@@ -52,6 +54,24 @@ class TestValidate:
         sw = rd.swapped()
         assert sw.sigma == rd.tau and sw.tau == rd.sigma
         assert sw.alphas == rd.betas
+
+
+CLOSED_FORM_POOLS = closed_form_pools()
+
+
+class TestSymmetricSums:
+    """``validate`` writes sigma, tau, phi1 and phi2 down from elementary
+    symmetric sums; the products of linear factors are the oracle."""
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORM_POOLS))
+    def test_match_the_from_roots_route(self, name):
+        for rd in CLOSED_FORM_POOLS[name]:
+            for roots, sym, phi in ((rd.alphas, rd.sigma, rd.phi1),
+                                    (rd.betas, rd.tau, rd.phi2)):
+                expected = UniPoly.from_roots(roots, rd.field)
+                assert phi == expected
+                assert list(phi.coeffs) == expand_from_roots(rd.field, roots)
+                assert sym == (-expected[3], expected[2], -expected[1], expected[0])
 
 
 class TestCoefficients:

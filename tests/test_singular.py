@@ -20,17 +20,19 @@ from howe import (
     no_offaxis_singularities_check,
     prime_field,
     rational_point_set,
+    resultant,
     sextic_from_quartics,
     singular_points,
+    sylvester_matrix,
     validate,
     verify_multiplicity_two,
 )
 from howe.bipoly import homogenize
 from howe.reference import REFERENCE_EXAMPLES, reference_data
-from howe.singular import SingularityType
+from howe.singular import TYPE_TABLE, SingularityType
 from howe.unipoly import UniPoly
 
-from conftest import random_branch_data
+from conftest import closed_form_pools, determinant, random_branch_data
 
 
 def reference(name):
@@ -97,6 +99,58 @@ class TestClassify:
                 h1 = h1_poly(rd)
                 g = gcd(h1, h1.derivative())
                 assert kind.affine_count == h1.degree - g.degree
+
+
+def classify_by_resultant(rd):
+    """The general route: the resultants of h1 and its derivatives by
+    ``resultant``, branching as the type table does.  The oracle for the
+    closed forms in ``classify``."""
+    h1 = h1_poly(rd)
+    h1p = h1.derivative()
+    if h1.degree == 3:
+        r1 = resultant(h1, h1p)
+        if not r1.is_zero:
+            return SingularityType("I-1", 3, 1, res_h1_h1p=r1)
+        r2 = resultant(h1p, h1p.derivative())
+        label = "I-3" if r2.is_zero else "I-2"
+        return SingularityType(label, *TYPE_TABLE[label], res_h1_h1p=r1, res_h1p_h1pp=r2)
+    if h1.degree == 2:
+        c, b, a = h1.coeffs
+        r1 = resultant(h1, h1p)
+        label = "II-2" if r1.is_zero else "II-1"
+        return SingularityType(label, *TYPE_TABLE[label], res_h1_h1p=r1,
+                               disc_h1=b * b - 4 * a * c)
+    label = "II-3" if h1.degree == 1 else "II-4"
+    return SingularityType(label, *TYPE_TABLE[label])
+
+
+CLOSED_FORM_POOLS = closed_form_pools()
+
+
+class TestClosedFormClassification:
+    """``classify`` reads the resultants off closed forms; they must equal
+    ``resultant`` and the Sylvester determinant value by value."""
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORM_POOLS))
+    def test_matches_resultant_and_determinant(self, name):
+        for rd in CLOSED_FORM_POOLS[name]:
+            kind = classify(rd)
+            assert kind == classify_by_resultant(rd)
+            h1 = h1_poly(rd)
+            h1p = h1.derivative()
+            if kind.res_h1_h1p is not None:
+                assert kind.res_h1_h1p == determinant(sylvester_matrix(h1, h1p))
+            if kind.res_h1p_h1pp is not None:
+                assert kind.res_h1p_h1pp == determinant(
+                    sylvester_matrix(h1p, h1p.derivative()))
+            if kind.disc_h1 is not None:
+                # Res(A x^2 + B x + C, its derivative) = -A (B^2 - 4 A C)
+                assert kind.res_h1_h1p == -(h1.lc() * kind.disc_h1)
+
+    def test_planted_pools_reach_every_label(self):
+        for name, pool in CLOSED_FORM_POOLS.items():
+            if name.endswith("planted"):
+                assert {classify(rd).label for rd in pool} == set(TYPE_TABLE)
 
 
 class TestSingularPoints:

@@ -101,12 +101,13 @@ class TestResultant:
 
     def test_matches_sylvester_determinant_q(self, QQ):
         rng = random.Random(11)
-        for _ in range(40):
+        # 40 pairs of height 9, then 15 of height 10^30
+        for height in [9] * 40 + [10**30] * 15:
             f = UniPoly.from_coeffs(
-                QQ, [QQ(rng.randint(-9, 9)) for _ in range(rng.randint(2, 6))]
+                QQ, [QQ(rng.randint(-height, height)) for _ in range(rng.randint(2, 6))]
             )
             g = UniPoly.from_coeffs(
-                QQ, [QQ(rng.randint(-9, 9)) for _ in range(rng.randint(2, 6))]
+                QQ, [QQ(rng.randint(-height, height)) for _ in range(rng.randint(2, 6))]
             )
             if f.is_zero or g.is_zero:
                 continue
