@@ -27,8 +27,14 @@ failure is certified by the residual values q1..q5 of the five remaining
 coefficient comparisons.  Branch data is translated so that alpha1 = 0
 before testing, which forces a6 != 0 and keeps every division defined.
 The translation acts on the symmetric functions alone (a Taylor shift, see
-:func:`_shifted`), and the 13 coefficients of the translated model come
-from the same closed forms as the model itself, so no polynomial is built.
+:func:`_shifted`), and the coefficients of the translated model come from
+the same closed forms as the model itself, so no polynomial is built.
+The shift, those closed forms and the case recipe use ring operations
+only; the steps that are not (reduce, divide, is-zero, square roots) come
+from a :class:`Ring`.  The lane is chosen by the field: over F_p the one
+copy runs on integers mod p (:func:`residue_ring`) and only the returned
+cases are wrapped as field elements, and over Q and F_{p^k} it runs on
+field elements (:func:`element_ring`).
 A shape-B factor would force 4 phi1 or 4 phi2 to be a square (see
 :func:`shape_b_test`), so on distinct branch data no case has all residuals
 zero; such a case raises instead of being multiplied back.
@@ -42,18 +48,22 @@ irreducibility for the instance at hand.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .bipoly import BiPoly
 from .errors import ConstructionMismatchError, ZeroPolynomialError
-from .field import Field, FieldElement
+from .field import Field, FieldElement, prime_field
 from .sextic import (
+    VARYING_COEFFS,
     RamificationData,
     build_model,
     check_distinct,
-    coeffs_from_symmetric,
+    coefficient_values,
 )
 from .unipoly import is_perfect_square
 
@@ -79,14 +89,6 @@ class CaseResiduals:
     case: str
     coefficients: tuple  # the attempted a1..a6
     residuals: tuple
-
-    @property
-    def a3(self) -> FieldElement:
-        return self.coefficients[2]
-
-    @property
-    def a6(self) -> FieldElement:
-        return self.coefficients[5]
 
 
 @dataclass(frozen=True)
@@ -182,60 +184,98 @@ def _sqrt_candidates(field: Field, value: FieldElement, seed: int = 0):
     return [] if pair is None else list(pair)
 
 
-def _shape_b_cases(field: Field, grid: dict, a3_options, a6_options,
-                   a4_options_zero):
+class Ring(NamedTuple):
+    """The steps of the shape-B recipe that are not ring operations.
+
+    The formulas themselves use only +, -, * and integer constants, so one
+    copy runs on :class:`FieldElement` values (:func:`element_ring`) and on
+    plain integers mod p (:func:`residue_ring`).  ``reduce`` returns the
+    canonical representative (the identity on field elements), and
+    ``div``, ``is_zero`` and ``sqrt`` return canonical values.
+    """
+
+    zero: object
+    four_inv: object
+    reduce: Callable
+    div: Callable
+    is_zero: Callable
+    sqrt: Callable  # both square roots, empty when none exist
+
+
+def element_ring(field: Field) -> Ring:
+    """Ring steps on elements of ``field``."""
+    return Ring(field.zero, field(4).inverse(), _identity, operator.truediv,
+                operator.attrgetter("is_zero"),
+                functools.partial(_sqrt_candidates, field))
+
+
+@functools.lru_cache(maxsize=64)
+def residue_ring(p: int) -> Ring:
+    """Ring steps on integers mod the prime p; values reduce into [0, p)."""
+    field = prime_field(p)
+
+    def div(a, b):
+        return a * pow(b, -1, p) % p
+
+    def sqrt(v):
+        return [r.val for r in _sqrt_candidates(field, field(v))]
+
+    return Ring(0, pow(4, -1, p), lambda v: v % p, div,
+                lambda v: v % p == 0, sqrt)
+
+
+def _identity(v):
+    return v
+
+
+def _shape_b_cases(ring: Ring, c, a3_options, a6_options, a4_options_zero):
     """Iterate the sign cases of the shape-B recipe and collect residuals.
 
-    ``grid`` holds the sextic's coefficients keyed by (i, j); a missing key
-    is a zero coefficient.  a4 follows from the x^5 coefficient when
-    a3 != 0 and from the square root of c40 otherwise; a5 from the x
-    coefficient when a6 != 0 and from c20 otherwise.  a1, a2 are always
-    determined linearly.  Residuals are the five remaining coefficient
-    comparisons.
+    ``c`` holds the sextic's 11 varying coefficients in ``VARYING_COEFFS``
+    order.  a4 follows from the x^5 coefficient when a3 != 0 and from the
+    square root of c40 otherwise; a5 from the x coefficient when a6 != 0
+    and from c20 otherwise.  a1, a2 are always determined linearly.
+    Residuals are the five remaining coefficient comparisons.  Option values
+    must be canonical; returns (label, (a1..a6), (q1..q5)) per case.
     """
-    zero = field.zero
-    c50, c40, c30, c20, c10 = (grid.get((i, 0), zero) for i in (5, 4, 3, 2, 1))
-    c32, c22, c12, c02 = (grid.get((i, 2), zero) for i in (3, 2, 1, 0))
-    four_inv = field(4).inverse()
-    two = field(2)
+    _c60, c50, c40, c32, c30, c22, c20, c12, c10, c02, _c00 = c
+    red, div, is_zero, four_inv = ring.reduce, ring.div, ring.is_zero, ring.four_inv
     cases = []
     seen = []
     for label_a3, a3 in a3_options:
-        two_a3 = two * a3
-        if a3.is_zero:
-            if not c50.is_zero:
+        two_a3 = 2 * a3
+        if is_zero(a3):
+            if not is_zero(c50):
                 continue  # x^5 coefficient 2*a3*a4 cannot match
             a4_opts = a4_options_zero
         else:
-            a4_opts = [("", c50 / two_a3)]
-        a1 = (two_a3 - c32) * four_inv
+            a4_opts = [("", div(c50, two_a3))]
+        a1 = red((two_a3 - c32) * four_inv)
         for label_a4, a4 in a4_opts:
-            two_a4 = two * a4
-            a2 = (two_a4 - a1 * a1 - c22) * four_inv
+            two_a4 = 2 * a4
+            a2 = red((two_a4 - a1 * a1 - c22) * four_inv)
             for label_a6, a6 in a6_options:
                 if (a3, a4, a6) in seen:
                     continue
                 seen.append((a3, a4, a6))
-                if a6.is_zero:
-                    if not c10.is_zero:
+                if is_zero(a6):
+                    if not is_zero(c10):
                         continue
-                    a5_opts = _sqrt_candidates(field, c20)
+                    a5_opts = ring.sqrt(c20)
                     if not a5_opts:
                         continue
                 else:
-                    a5_opts = [c10 / (two * a6)]
+                    a5_opts = [div(c10, 2 * a6)]
                 label = f"B{label_a3}{label_a4}{label_a6}"
                 for a5 in a5_opts:
                     residuals = (
-                        two_a3 * a5 + a4 * a4 - c40,
-                        two_a3 * a6 + two_a4 * a5 - c30,
-                        two * (a5 - a1 * a2) - c12,
-                        two_a4 * a6 + a5 * a5 - c20,
-                        two * a6 - a2 * a2 - c02,
+                        red(two_a3 * a5 + a4 * a4 - c40),
+                        red(two_a3 * a6 + two_a4 * a5 - c30),
+                        red(2 * (a5 - a1 * a2) - c12),
+                        red(two_a4 * a6 + a5 * a5 - c20),
+                        red(2 * a6 - a2 * a2 - c02),
                     )
-                    cases.append(
-                        CaseResiduals(label, (a1, a2, a3, a4, a5, a6), residuals)
-                    )
+                    cases.append((label, (a1, a2, a3, a4, a5, a6), residuals))
     return cases
 
 
@@ -271,7 +311,9 @@ def shape_b_witness(f: BiPoly, seed: int = 0):
     a4_options = [(f"'{i + 1}", v) for i, v in enumerate(a4_roots)]
     if not a3_options or not a6_options:
         return None, ()
-    cases = _shape_b_cases(field, grid, a3_options, a6_options, a4_options)
+    c = tuple(_c(grid, int(n[1]), int(n[2]), field) for n in VARYING_COEFFS)
+    cases = [CaseResiduals(*case) for case in _shape_b_cases(
+        element_ring(field), c, a3_options, a6_options, a4_options)]
     for case in cases:
         if all(r.is_zero for r in case.residuals):
             witness = _witness_from_case(f, case)
@@ -280,22 +322,68 @@ def shape_b_witness(f: BiPoly, seed: int = 0):
     return None, tuple(cases)
 
 
-def _shifted(e, c: FieldElement) -> tuple:
+def _shifted(e, c) -> tuple:
     """Symmetric functions of four roots after adding c to each root.
 
     Taylor shift of the quartic: e1 + 4c, e2 + 3c e1 + 6c^2,
     e3 + 2c e2 + 3c^2 e1 + 4c^3, e4 + c e3 + c^2 e2 + c^3 e1 + c^4,
-    evaluated in Horner form.
+    evaluated in Horner form with ring operations only.
     """
-    field = c.field
     e1, e2, e3, e4 = e
-    three, four = field(3), field(4)
     return (
-        e1 + four * c,
-        e2 + c * (three * e1 + field(6) * c),
-        e3 + c * (field(2) * e2 + c * (three * e1 + four * c)),
+        e1 + 4 * c,
+        e2 + c * (3 * e1 + 6 * c),
+        e3 + c * (2 * e2 + c * (3 * e1 + 4 * c)),
         e4 + c * (e3 + c * (e2 + c * (e1 + c))),
     )
+
+
+#: shape_b_test's names for the four sign cases of (a3, a6) when a3 != 0
+_SIGN_CASES = {"B++": "B1", "B-+": "B2", "B+-": "B3", "B--": "B4"}
+
+
+def shape_b_residuals(ring: Ring, sigma, tau, shift) -> list:
+    """The residual cases of :func:`shape_b_test` on any ring.
+
+    ``sigma`` and ``tau`` are canonical symmetric functions and ``shift``
+    is alpha1; returns (label, (a1..a6), (q1..q5)) per case with canonical
+    values, and raises :class:`ConstructionMismatchError` on a case whose
+    residuals all vanish.  The caller guarantees distinct branch values.
+    """
+    red, is_zero = ring.reduce, ring.is_zero
+    sigma = tuple(map(red, _shifted(sigma, -shift)))
+    tau = tuple(map(red, _shifted(tau, -shift)))
+    d1 = red(sigma[0] - tau[0])
+    d2 = red(sigma[1] - tau[1])
+    d4 = red(sigma[3] - tau[3])
+
+    if is_zero(d1):
+        a3_options = [("0", ring.zero)]
+        if is_zero(d2):
+            a4_zero = [(".1", ring.zero)]
+        else:
+            a4_zero = [(".1", d2), (".2", red(-d2))]
+        a6_options = [(".1", d4), (".2", red(-d4))]
+    else:
+        a3_options = [("+", d1), ("-", red(-d1))]
+        a4_zero = []
+        a6_options = [("+", d4), ("-", red(-d4))]
+
+    cases = _relabel_proof_cases(_shape_b_cases(
+        ring, coefficient_values(sigma, tau), a3_options, a6_options, a4_zero))
+    for label, _coefficients, residuals in cases:
+        if all(map(is_zero, residuals)):
+            raise ConstructionMismatchError(
+                f"shape-B case {label} has vanishing residuals on distinct branch data"
+            )
+    return cases
+
+
+def _relabel_proof_cases(cases) -> list:
+    """Name the nonzero-a3 cases B1..B4 by their sign pattern (a3 = +-(s1 -
+    t1), a6 = +-(s4 - t4)), and the a3 = 0 cases B0.1, B0.2, ... in order."""
+    return [(_SIGN_CASES.get(label) or f"B0.{i + 1}", coefficients, residuals)
+            for i, (label, coefficients, residuals) in enumerate(cases)]
 
 
 def shape_b_test(rd: RamificationData):
@@ -307,8 +395,10 @@ def shape_b_test(rd: RamificationData):
     choices of (a3, a6) when a3 != 0, and B0.xy variants when sigma1 = tau1
     forces a3 = 0 (then a4 = +-(sigma2 - tau2) instead).
 
-    The shifted symmetric functions and the coefficient grid are computed
-    in closed form; a repeated branch value raises
+    The shifted symmetric functions and the coefficients are computed in
+    closed form (:func:`shape_b_residuals`); over a prime field they run on
+    integers mod p and only the returned cases are wrapped as field
+    elements.  A repeated branch value raises
     :class:`DuplicateRamificationPointError` before any of it.
 
     On such data no case can have all five residuals zero, so the witness
@@ -323,50 +413,17 @@ def shape_b_test(rd: RamificationData):
     """
     check_distinct(rd.alphas + rd.betas)
     field = rd.field
-    shift = rd.alphas[0]
-    sigma = _shifted(rd.sigma, -shift)
-    tau = _shifted(rd.tau, -shift)
-    grid = coeffs_from_symmetric(field, sigma, tau).grid()
-    d1 = sigma[0] - tau[0]
-    d2 = sigma[1] - tau[1]
-    d4 = sigma[3] - tau[3]
+    if field.kind != "prime":
+        cases = shape_b_residuals(element_ring(field), rd.sigma, rd.tau, rd.alphas[0])
+        return None, tuple(CaseResiduals(*case) for case in cases)
+    cases = shape_b_residuals(residue_ring(field.p), [v.val for v in rd.sigma],
+                              [v.val for v in rd.tau], rd.alphas[0].val)
 
-    if d1.is_zero:
-        a3_options = [("0", field.zero)]
-        if d2.is_zero:
-            a4_zero = [(".1", field.zero)]
-        else:
-            a4_zero = [(".1", d2), (".2", -d2)]
-        a6_options = [(".1", d4), (".2", -d4)]
-    else:
-        a3_options = [("+", d1), ("-", -d1)]
-        a4_zero = []
-        a6_options = [("+", d4), ("-", -d4)]
+    def wrap(values):
+        return tuple(FieldElement(field, v) for v in values)
 
-    cases = _shape_b_cases(field, grid, a3_options, a6_options, a4_zero)
-    cases = _relabel_proof_cases(cases, d1, d4)
-    for case in cases:
-        if all(r.is_zero for r in case.residuals):
-            raise ConstructionMismatchError(
-                f"shape-B case {case.case} has vanishing residuals on distinct branch data"
-            )
-    return None, tuple(cases)
-
-
-def _relabel_proof_cases(cases, d1, d4):
-    """Name the four nonzero-a3 cases B1..B4 by their sign pattern."""
-    if d1.is_zero:
-        return [
-            CaseResiduals(f"B0.{i + 1}", case.coefficients, case.residuals)
-            for i, case in enumerate(cases)
-        ]
-    names = {(True, True): "B1", (False, True): "B2",
-             (True, False): "B3", (False, False): "B4"}
-    out = []
-    for case in cases:
-        key = (case.a3 == d1, case.a6 == d4)
-        out.append(CaseResiduals(names[key], case.coefficients, case.residuals))
-    return out
+    return None, tuple(CaseResiduals(label, wrap(coefficients), wrap(residuals))
+                       for label, coefficients, residuals in cases)
 
 
 def is_absolutely_irreducible(rd: RamificationData) -> IrreducibilityVerdict:

@@ -3,18 +3,29 @@
 Instance i draws from its own generator seeded with seed XOR i, so the
 summary does not depend on execution order and any instance can be replayed
 in isolation.
+
+The route is chosen by the field.  Over a prime field each draw runs on
+plain integers mod p: the same ``rng.randrange(p)`` calls that
+``field.random_element`` makes, then the ring-generic closed forms
+(``sextic.symmetric_functions``, ``singular.classify_values`` and
+``irreducible.shape_b_residuals``), with no ``RamificationData`` and no
+``FieldElement`` built.  Every shape-B residual is still computed, and a
+case whose residuals all vanish raises as in ``shape_b_test``.  Other
+finite fields take the field-element route: ``draw_branch_data``,
+``classify`` and ``is_absolutely_irreducible``.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field as dc_field
 
 from .errors import UnsupportedFieldError
 from .field import Field
-from .irreducible import is_absolutely_irreducible
-from .sextic import validate
-from .singular import classify
+from .irreducible import is_absolutely_irreducible, residue_ring, shape_b_residuals
+from .sextic import symmetric_functions, validate
+from .singular import TYPE_TABLE, classify, classify_values
 
 TYPE_LABELS = ("I-1", "I-2", "I-3", "II-1", "II-2", "II-3", "II-4")
 
@@ -52,25 +63,54 @@ def draw_branch_data(field: Field, rng: random.Random):
             return validate(vals[:4], vals[4:])
 
 
-def sample_types(field: Field, count: int, seed: int = 0,
-                 with_irreducibility: bool = True) -> SampleSummary:
+def _draw_elements(field: Field, rng: random.Random) -> tuple:
+    """(label, irreducible) of one draw on field elements."""
+    rd = draw_branch_data(field, rng)
+    return classify(rd).label, is_absolutely_irreducible(rd).irreducible
+
+
+def _draw_residues(p: int, rng: random.Random) -> tuple:
+    """(label, irreducible) of one draw on integers mod p.
+
+    The same values as :func:`draw_branch_data` over F_p; a vanishing
+    shape-B case raises instead of returning a reducible verdict.
+    """
+    ring = residue_ring(p)
+    while True:
+        vals = [rng.randrange(p) for _ in range(8)]
+        if len(set(vals)) == 8:
+            break
+    sigma = [v % p for v in symmetric_functions(vals[:4])]
+    tau = [v % p for v in symmetric_functions(vals[4:])]
+    label = classify_values(sigma, tau, ring.is_zero)[0]
+    shape_b_residuals(ring, sigma, tau, vals[0])
+    return label, True
+
+
+def sample_types(field: Field, count: int, seed: int = 0) -> SampleSummary:
     """Tally the types of ``count`` seeded draws over a finite field.
 
-    A field with fewer than eight elements holds no configuration of eight
-    distinct values, so it raises :class:`UnsupportedFieldError` up front
-    instead of redrawing forever.
+    Irreducibility is certified on every draw.  A negative count raises
+    ``ValueError``.  A field with fewer than eight elements holds no
+    configuration of eight distinct values, so it raises
+    :class:`UnsupportedFieldError` up front instead of redrawing forever.
     """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     if field.kind != "rational" and field.order < 8:
         raise UnsupportedFieldError(
             f"{field} has {field.order} elements; sampling needs at least 8"
         )
+    if field.kind == "prime":
+        draw = functools.partial(_draw_residues, field.p)
+    else:
+        draw = functools.partial(_draw_elements, field)
     summary = SampleSummary(count, seed)
     for i in range(count):
-        rng = random.Random(seed ^ i)
-        rd = draw_branch_data(field, rng)
-        kind = classify(rd)
-        summary.type_counts[kind.label] = summary.type_counts.get(kind.label, 0) + 1
-        summary.total_counts[kind.total] = summary.total_counts.get(kind.total, 0) + 1
-        if with_irreducibility and not is_absolutely_irreducible(rd).irreducible:
+        label, irreducible = draw(random.Random(seed ^ i))
+        total = sum(TYPE_TABLE[label])
+        summary.type_counts[label] = summary.type_counts.get(label, 0) + 1
+        summary.total_counts[total] = summary.total_counts.get(total, 0) + 1
+        if not irreducible:
             summary.irreducibility_failures += 1
     return summary

@@ -10,7 +10,10 @@ Eliminating y1, y2 gives the degree-6 plane model
 The thirteen coefficients of f are closed-form expressions in the elementary
 symmetric functions of the two root tuples; this module computes them both
 ways (closed forms, and direct polynomial arithmetic) so each route checks
-the other.
+the other.  The closed forms (:func:`symmetric_functions` and
+:func:`coefficient_values`) use ring operations only, so the one copy runs
+on field elements and, in the prime-field lane of ``howe.sampling`` and
+``howe.irreducible``, on plain integers mod p.
 
 The gluing needs the two covers to be non-isomorphic over the line.  That
 holds automatically here: a double cover is determined by its branch locus,
@@ -74,10 +77,12 @@ class RamificationData:
         return f"RamificationData(alpha=({a}), beta=({b}) over {self.field})"
 
 
-def _symmetric_functions(roots) -> tuple:
+def symmetric_functions(roots) -> tuple:
     """e1..e4 of four roots, from the pairs (r1, r2) and (r3, r4):
     with p = r1 r2, q = r3 r4, u = r1 + r2, v = r3 + r4,
-    e1 = u + v, e2 = p + q + u v, e3 = p v + q u, e4 = p q."""
+    e1 = u + v, e2 = p + q + u v, e3 = p v + q u, e4 = p q.
+
+    Ring operations only: on integers the results are unreduced."""
     r1, r2, r3, r4 = roots
     p, q, u, v = r1 * r2, r3 * r4, r1 + r2, r3 + r4
     return (u + v, p + q + u * v, p * v + q * u, p * q)
@@ -135,8 +140,8 @@ def validate(alphas, betas) -> RamificationData:
         elif v.field != field:
             raise MixedFieldsError("ramification points from different fields")
     check_distinct(values)
-    sigma = _symmetric_functions(alphas)
-    tau = _symmetric_functions(betas)
+    sigma = symmetric_functions(alphas)
+    tau = symmetric_functions(betas)
     return RamificationData(
         alphas, betas, sigma, tau, _quartic(field, sigma), _quartic(field, tau)
     )
@@ -171,35 +176,44 @@ class SexticCoefficients:
         return BiPoly(field, self.grid())
 
 
-def sextic_coeffs(rd: RamificationData) -> SexticCoefficients:
-    """Closed-form coefficients of the model of validated branch data."""
-    return coeffs_from_symmetric(rd.field, rd.sigma, rd.tau)
+#: the 11 coefficients that depend on the branch data, in report order
+VARYING_COEFFS = tuple(n for n in COEFF_NAMES if n not in ("c42", "c04"))
 
 
-def coeffs_from_symmetric(field: Field, sigma, tau) -> SexticCoefficients:
-    """Closed-form coefficients from the symmetric-function differences.
+def coefficient_values(sigma, tau) -> tuple:
+    """The 11 varying coefficients, in :data:`VARYING_COEFFS` order.
 
-    Constant operation count: thirteen short products and sums, no
-    polynomial arithmetic and no dependence on the characteristic.
+    Ring operations only (+, -, * and integer constants), so the same
+    formulas run on field elements and on unreduced integers mod p; the
+    caller reduces.  Constant operation count, no polynomial arithmetic and
+    no dependence on the characteristic.
     """
     s1, s2, s3, s4 = sigma
     t1, t2, t3, t4 = tau
     d1, d2, d3, d4 = s1 - t1, s2 - t2, s3 - t3, s4 - t4
-    two = field(2)
+    return (
+        d1 * d1,                          # c60
+        -2 * d1 * d2,                     # c50
+        2 * d1 * d3 + d2 * d2,            # c40
+        2 * (s1 + t1),                    # c32
+        -2 * (d1 * d4 + d2 * d3),         # c30
+        -2 * (s2 + t2),                   # c22
+        d3 * d3 + 2 * d4 * d2,            # c20
+        2 * (s3 + t3),                    # c12
+        -2 * d4 * d3,                     # c10
+        -2 * (s4 + t4),                   # c02
+        d4 * d4,                          # c00
+    )
+
+
+def sextic_coeffs(rd: RamificationData) -> SexticCoefficients:
+    """Closed-form coefficients of the model of validated branch data: the
+    constants c42 = -4 and c04 = 1 plus :func:`coefficient_values`."""
+    field = rd.field
     return SexticCoefficients(
-        c60=d1 * d1,
-        c50=-two * d1 * d2,
         c42=field(-4),
-        c40=two * d1 * d3 + d2 * d2,
-        c32=two * (s1 + t1),
-        c30=-two * d1 * d4 - two * d2 * d3,
-        c22=-two * (s2 + t2),
-        c20=d3 * d3 + two * d4 * d2,
-        c12=two * (s3 + t3),
-        c10=-two * d4 * d3,
         c04=field.one,
-        c02=-two * (s4 + t4),
-        c00=d4 * d4,
+        **dict(zip(VARYING_COEFFS, coefficient_values(rd.sigma, rd.tau))),
     )
 
 

@@ -26,7 +26,10 @@ disc(h1) = b^2 c^2 - 4 a c^3 - 4 b^3 d - 27 a^2 d^2 + 18 a b c d, and
 Res(h1', h1'') = -12 a (b^2 - 3 a c); for a quadratic (a = 0),
 Res(h1, h1') = -b disc(h1) with disc(h1) = c^2 - 4 b d (Cohen, *A Course
 in Computational Algebraic Number Theory*, 3.3).  ``resultant`` and
-``sylvester_matrix`` stay public as the independent oracle.
+``sylvester_matrix`` stay public as the independent oracle.  The closed
+forms (:func:`classify_values`) use ring operations only, with the is-zero
+test supplied by the caller, so ``howe.sampling`` runs the same copy on
+integers mod p.
 
 Every singular point has multiplicity exactly 2, certified by a nonzero
 second partial.  The certificates are closed forms in the branch data:
@@ -40,6 +43,7 @@ projective scan stay available as independent oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from operator import attrgetter
 
 from .bipoly import HomPoly
 from .errors import (
@@ -100,30 +104,39 @@ def classify(rd: RamificationData) -> SingularityType:
     h1 has h1' of degree 2 and h1'' of degree 1, a quadratic one h1' of
     degree 1.
     """
-    s1, s2, s3, s4 = rd.sigma
-    t1, t2, t3, t4 = rd.tau
+    label, r1, r2, disc = classify_values(rd.sigma, rd.tau, attrgetter("is_zero"))
+    m, n = TYPE_TABLE[label]
+    return SingularityType(label, m, n, res_h1_h1p=r1, res_h1p_h1pp=r2, disc_h1=disc)
+
+
+def classify_values(sigma, tau, is_zero) -> tuple:
+    """(label, Res(h1, h1'), Res(h1', h1''), disc(h1)) of the type table.
+
+    Ring operations only; ``is_zero`` is supplied by the caller (on
+    integers mod p it reduces first).  A value the branch does not reach
+    is ``None``: Res(h1', h1'') only for I-2 and I-3, the quadratic disc(h1)
+    only for II-1 and II-2.
+    """
+    s1, s2, s3, s4 = sigma
+    t1, t2, t3, t4 = tau
     a, b, c, d = s1 - t1, t2 - s2, s3 - t3, t4 - s4
-    if not a.is_zero:
+    if not is_zero(a):
         bb, cc = b * b, c * c
         disc = (bb * cc - 4 * a * cc * c - 4 * bb * b * d
                 - 27 * a * a * d * d + 18 * a * b * c * d)
         r1 = -(a * disc)
-        if not r1.is_zero:
-            return SingularityType("I-1", 3, 1, res_h1_h1p=r1)
+        if not is_zero(r1):
+            return "I-1", r1, None, None
         r2 = -12 * a * (bb - 3 * a * c)
-        if not r2.is_zero:
-            return SingularityType("I-2", 2, 1, res_h1_h1p=r1, res_h1p_h1pp=r2)
-        return SingularityType("I-3", 1, 1, res_h1_h1p=r1, res_h1p_h1pp=r2)
-    if not b.is_zero:
+        return ("I-2" if not is_zero(r2) else "I-3"), r1, r2, None
+    if not is_zero(b):
         disc = c * c - 4 * b * d
         r1 = -(b * disc)
-        if not r1.is_zero:
-            return SingularityType("II-1", 2, 2, res_h1_h1p=r1, disc_h1=disc)
-        return SingularityType("II-2", 1, 2, res_h1_h1p=r1, disc_h1=disc)
-    if not c.is_zero:
-        return SingularityType("II-3", 1, 2)
+        return ("II-1" if not is_zero(r1) else "II-2"), r1, None, disc
+    if not is_zero(c):
+        return "II-3", None, None, None
     # h1 is a nonzero constant: s4 != t4 because the branch values are distinct
-    return SingularityType("II-4", 0, 2)
+    return "II-4", None, None, None
 
 
 @dataclass(frozen=True)

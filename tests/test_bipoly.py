@@ -16,7 +16,7 @@ from howe import (
     project_point,
     random_fiber_points,
 )
-from conftest import random_branch_data
+from conftest import closed_form_pools, random_branch_data
 
 
 def rand_bipoly(field, rng, max_deg=3):
@@ -181,12 +181,50 @@ class TestEvalAndShift:
             assert f.shift_x(a).eval(x, y) == f.eval(x + a, y)
 
 
+def euler_by_partials(F):
+    """The Euler relation by building the three partials: the oracle.
+
+    Works on the term dicts, since ``HomPoly`` rejects the mixed-degree
+    terms of an edited polynomial."""
+    diff = {e: c * F.degree for e, c in F.terms.items()}
+    for idx in range(3):
+        partial = {}
+        for e, c in F.terms.items():
+            if e[idx]:
+                down = list(e)
+                down[idx] -= 1
+                partial[tuple(down)] = c * e[idx]
+        for e, c in partial.items():  # times the variable
+            up = list(e)
+            up[idx] += 1
+            up = tuple(up)
+            diff[up] = diff.get(up, F.field.zero) - c
+    return all(c.is_zero for c in diff.values())
+
+
 class TestModelInvariants:
     def test_euler_relation(self, F31):
         rng = random.Random(12)
         for _ in range(15):
             rd = random_branch_data(prime_field(31), rng)
             assert euler_relation_holds(build_model(rd).F)
+
+    @pytest.mark.parametrize("name", sorted(closed_form_pools()))
+    def test_euler_relation_matches_partials(self, name):
+        for rd in closed_form_pools()[name]:
+            F = build_model(rd, cross_check=False).F
+            assert euler_relation_holds(F) is euler_by_partials(F) is True
+
+            off = HomPoly(F.field, dict(F.terms), F.degree)
+            off.terms[(F.degree + 1, 0, 0)] = F.field.one
+            assert euler_relation_holds(off) is euler_by_partials(off) is False
+
+            char = F.field.characteristic
+            if char:
+                # a degree d + p term satisfies the relation mod p
+                wrap = HomPoly(F.field, dict(F.terms), F.degree)
+                wrap.terms[(F.degree + char - 1, 1, 0)] = F.field.one
+                assert euler_relation_holds(wrap) is euler_by_partials(wrap) is True
 
     def test_even_in_y(self, F31):
         rng = random.Random(13)

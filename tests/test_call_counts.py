@@ -64,13 +64,27 @@ def test_analyze_classifies_and_assembles_once(monkeypatch, name):
 
 
 def test_sampling_calls_neither_resultant_nor_from_roots(monkeypatch):
+    # over F_p every draw runs on integers mod p, so none of the
+    # field-element stages is entered either
     resultant_calls = count_calls(monkeypatch, howe.unipoly.resultant)
     from_roots_calls = count_from_roots(monkeypatch)
-    for p in (31, 10007):
+    validate_calls = count_calls(monkeypatch, howe.sextic.validate)
+    classify_calls = count_calls(monkeypatch, howe.singular.classify)
+    shape_b_calls = count_calls(monkeypatch, howe.irreducible.shape_b_test)
+    for p in (11, 31, 10007, 2**64 - 59):
         summary = sample_types(prime_field(p), 40, seed=p)
         assert sum(summary.type_counts.values()) == 40
     assert resultant_calls == []
     assert from_roots_calls == []
+    assert (validate_calls, classify_calls, shape_b_calls) == ([], [], [])
+
+
+def test_extension_sampling_classifies_once_per_draw(monkeypatch):
+    classify_calls = count_calls(monkeypatch, howe.singular.classify)
+    shape_b_calls = count_calls(monkeypatch, howe.irreducible.shape_b_test)
+    summary = sample_types(build_extension(5, 2, 0), 30, seed=25)
+    assert sum(summary.type_counts.values()) == 30
+    assert len(classify_calls) == len(shape_b_calls) == 30
 
 
 def test_squarefree_cubic_takes_one_gcd(monkeypatch):

@@ -24,8 +24,17 @@ from howe import (
     shape_b_witness,
     validate,
 )
-from howe.irreducible import _relabel_proof_cases, _shape_b_cases, _shape_grid
+from howe.irreducible import (
+    _relabel_proof_cases,
+    _shape_b_cases,
+    _shape_grid,
+    _sqrt_candidates,
+    element_ring,
+    residue_ring,
+)
+from howe.sextic import VARYING_COEFFS
 from howe.reference import REFERENCE_EXAMPLES, reference_data
+from howe.sampling import sample_types
 from howe.unipoly import UniPoly
 
 from conftest import random_branch_data
@@ -142,6 +151,35 @@ class TestShapeBWitness:
             hits += 1
         assert hits >= 20
 
+    def test_recipe_on_residues_matches_elements(self, F31):
+        # the one copy of the case recipe on both rings, through the a3 = 0
+        # and a6 = 0 branches that take square roots (the branch-data lane
+        # never reaches them)
+        rng = random.Random(10)
+        checked = 0
+        for _ in range(40):
+            a = [rng.randrange(31) for _ in range(6)]
+            a[2] = a[5] = 0
+            H1, H2 = shape_b_pair(F31, a)
+            f = H1 * H2
+            if f.y_slice(0).is_zero:
+                continue
+            grid = _shape_grid(f)
+            c = [grid.get((int(n[1]), int(n[2])), F31.zero) for n in VARYING_COEFFS]
+            a4_roots = _sqrt_candidates(F31, grid.get((4, 0), F31.zero))
+            options = ([("0", F31.zero)], [(".1", F31.zero)],
+                       [(f"'{i}", r) for i, r in enumerate(a4_roots)])
+            on_elements = _shape_b_cases(element_ring(F31), c, *options)
+            on_residues = _shape_b_cases(
+                residue_ring(31), [v.val for v in c],
+                *([(label, v.val) for label, v in opt] for opt in options))
+            assert on_residues == [
+                (label, tuple(v.val for v in co), tuple(v.val for v in res))
+                for label, co, res in on_elements
+            ]
+            checked += any(all(r.is_zero for r in res) for _, _, res in on_elements)
+        assert checked >= 20
+
     def test_translation_invariance(self, F31):
         rng = random.Random(7)
         for _ in range(25):
@@ -210,8 +248,9 @@ def shape_b_cases_from_model(rd):
     """The shape-B cases by polynomial arithmetic: translate the branch data
     so that alpha1 = 0, build the sextic as a BiPoly and read its grid.
 
-    Independent of the closed-form Taylor shift and coefficient grid that
-    :func:`shape_b_test` uses; only the case recipe is shared.
+    Independent of the closed-form Taylor shift and coefficients that
+    :func:`shape_b_test` uses, and of its prime-field integer lane: the case
+    recipe runs here on field elements.  Only the recipe is shared.
     """
     rd0 = rd.translated(-rd.alphas[0])
     f0 = build_model(rd0, cross_check=False).f
@@ -227,8 +266,10 @@ def shape_b_cases_from_model(rd):
         a3_options = [("+", d1), ("-", -d1)]
         a4_zero = []
         a6_options = [("+", d4), ("-", -d4)]
-    cases = _shape_b_cases(field, _shape_grid(f0), a3_options, a6_options, a4_zero)
-    return _relabel_proof_cases(cases, d1, d4)
+    grid = _shape_grid(f0)
+    c = tuple(grid.get((int(n[1]), int(n[2])), field.zero) for n in VARYING_COEFFS)
+    cases = _shape_b_cases(element_ring(field), c, a3_options, a6_options, a4_zero)
+    return [irreducible.CaseResiduals(*case) for case in _relabel_proof_cases(cases)]
 
 
 def _plain_pool(field, rng, n, span=None):
@@ -270,6 +311,7 @@ def _oracle_pools():
         "s1=t1 over Q": _a3_zero_pool(QQ, random.Random(47), 15, span=100),
         "s1=t1, s2=t2": _a3_zero_pool(F10007, random.Random(48), 30, symmetric=True),
         "F25": _plain_pool(build_extension(5, 2, 0), random.Random(49), 30),
+        "F_2^64-59": _plain_pool(prime_field(2**64 - 59), random.Random(51), 30),
     }
 
 
@@ -317,23 +359,26 @@ class TestClosedFormAgainstModel:
     def test_vanishing_residuals_raise(self, monkeypatch):
         # valid data never gets here (4 phi1 and 4 phi2 are not squares);
         # inject a case whose residuals all vanish and check that it is
-        # reported as a broken invariant, without building a model
+        # reported as a broken invariant, without building a model, on the
+        # prime-field integer lane and on field elements
         calls = []
 
         def counting_build_model(*args, **kwargs):
             calls.append(args)
             return build_model(*args, **kwargs)
 
-        def with_vanishing_case(field, grid, *options):
-            cases = _shape_b_cases(field, grid, *options)
-            zero = (field.zero,) * 5
-            return cases + [irreducible.CaseResiduals("B", cases[0].coefficients, zero)]
+        def with_vanishing_case(ring, c, *options):
+            cases = _shape_b_cases(ring, c, *options)
+            return cases + [("B", cases[0][1], (ring.zero,) * 5)]
 
         monkeypatch.setattr(irreducible, "build_model", counting_build_model)
         monkeypatch.setattr(irreducible, "_shape_b_cases", with_vanishing_case)
-        rd = ORACLE_POOLS["F31"][0]
+        for name in ("F31", "Q_H50"):
+            rd = ORACLE_POOLS[name][0]
+            with pytest.raises(ConstructionMismatchError):
+                is_absolutely_irreducible(rd)
         with pytest.raises(ConstructionMismatchError):
-            is_absolutely_irreducible(rd)
+            sample_types(prime_field(31), 1)
         assert calls == []
 
     def test_repeated_value_in_hand_built_data_rejected(self, F31):
