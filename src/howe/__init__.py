@@ -41,12 +41,9 @@ from .unipoly import (
     factor_rational,
     gcd,
     is_irreducible,
-    is_perfect_square,
     resultant,
     roots,
     squarefree_decomposition,
-    squarefree_part,
-    sylvester_matrix,
 )
 from .bipoly import BiPoly, HomPoly, dehomogenize, homogenize
 from .sextic import (
@@ -77,7 +74,6 @@ from .singular import (
     classify,
     genus_bound_check,
     h1_poly,
-    no_offaxis_singularities_check,
     rational_point_set,
     singular_points,
     verify_multiplicity_two,
@@ -85,13 +81,8 @@ from .singular import (
 from .irreducible import (
     CaseResiduals,
     IrreducibilityVerdict,
-    ShapeAWitness,
-    ShapeBWitness,
     is_absolutely_irreducible,
-    shape_a_test,
-    shape_a_witness,
     shape_b_test,
-    shape_b_witness,
 )
 from .report import AnalysisReport, analyze, euler_relation_holds, render_text, to_json
 from .reference import REFERENCE_EXAMPLES, reference_data, run_reference_checks

@@ -181,9 +181,10 @@ class HomPoly:
         self.field = field
         self.terms = terms if _trusted else _coerce_terms(field, terms)
         self.degree = degree
-        for (i, j, k) in self.terms:
-            if i + j + k != degree:
-                raise ValueError(f"term {(i, j, k)} does not have total degree {degree}")
+        if not _trusted:  # trusted callers build every term at this degree
+            for (i, j, k) in self.terms:
+                if i + j + k != degree:
+                    raise ValueError(f"term {(i, j, k)} does not have total degree {degree}")
 
     @property
     def is_zero(self) -> bool:
@@ -204,15 +205,6 @@ class HomPoly:
                     new[idx] -= 1
                     out[tuple(new)] = d
         return HomPoly(self.field, out, self.degree - 1, _trusted=True)
-
-    def times_var(self, var: str) -> "HomPoly":
-        idx = "xyz".index(var)
-        out = {}
-        for exp, c in self.terms.items():
-            new = list(exp)
-            new[idx] += 1
-            out[tuple(new)] = c
-        return HomPoly(self.field, out, self.degree + 1, _trusted=True)
 
     def __add__(self, other):
         if not isinstance(other, HomPoly):

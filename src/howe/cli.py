@@ -34,6 +34,9 @@ from .singular import brute_force_singular_scan, rational_point_set, singular_po
 
 SCAN_PRIME_LIMIT = 97
 
+#: digits allowed in a rational input's numerator and denominator (parse_points)
+MAX_RATIONAL_DIGITS = 100
+
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_FIELD = 2
@@ -71,7 +74,19 @@ _INFINITY_TOKENS = {"inf", "infinity", "oo", "+inf", "-inf"}
 
 
 def parse_points(field: Field, text: str, what: str):
-    """Comma-separated field elements: integers, or n/d fractions over Q."""
+    """Comma-separated field elements: integers, or n/d fractions over Q.
+
+    Over Q a value's numerator and denominator, in lowest terms, may have
+    at most D = ``MAX_RATIONAL_DIGITS`` digits: CPython converts integers
+    of at most 4300 digits to text.  The largest printed value is
+    Res(h1, h1') = -a disc(h1), of degree 5 in the differences s_k - t_k.
+    With P the product of the eight denominators, each difference times P
+    is an integer below 12 * 10^(8 D), so the resultant's denominator
+    divides P^5 and its numerator is below 54 * 12^5 * 10^(40 D) (54 sums
+    the absolute coefficients of -a disc): at most 40 D + 8 = 4008 digits.
+    The other printed values are smaller; the next largest, -8 phi1(xi) at
+    a rational root of h1, has at most 36 D + 13 digits.
+    """
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
         raise InputArgumentError(f"--{what} needs exactly 4 comma-separated values")
@@ -88,6 +103,10 @@ def parse_points(field: Field, text: str, what: str):
             raise InputArgumentError(f"{what} value {part!r} has a zero denominator") from None
         except ValueError as exc:
             raise InputArgumentError(f"{what} value {part!r}: {exc}") from None
+        if field.kind == "rational" and max(
+                abs(value.numerator), value.denominator) >= 10**MAX_RATIONAL_DIGITS:
+            raise InputArgumentError(f"{what} value {part[:20]}...: numerator and denominator"
+                                     f" may have at most {MAX_RATIONAL_DIGITS} digits over Q")
         out.append(field(value))
     return out
 

@@ -16,9 +16,7 @@ and that discriminant is 4(phi1 + phi2)^2 - 4(phi1 - phi2)^2 = 16 phi1 phi2,
 i.e. 16 times the product of (x - v) over the eight branch values v.  When
 the eight values are pairwise distinct it is squarefree of degree 8, hence
 not a square even over the algebraic closure, and shape A is impossible.
-The certificate checks that premise directly (``sextic.check_distinct``);
-the perfect-square search :func:`shape_a_witness` stays for synthetic
-sextics and as the independent route behind :func:`shape_a_test`.
+The certificate checks that premise directly (``sextic.check_distinct``).
 
 For shape B the outer coefficients pin a3^2 = c60 and a6^2 = c00, both
 literal squares of symmetric-function differences, so all candidate
@@ -37,13 +35,12 @@ cases are wrapped as field elements, and over Q and F_{p^k} it runs on
 field elements (:func:`element_ring`).
 A shape-B factor would force 4 phi1 or 4 phi2 to be a square (see
 :func:`shape_b_test`), so on distinct branch data no case has all residuals
-zero; such a case raises instead of being multiplied back.
-:func:`shape_b_witness` keeps the multiply-back search for synthetic
-sextics.
+zero; such a case raises :class:`ConstructionMismatchError`.
 
-For every admissible configuration of eight distinct branch values both
-searches come up empty, so the verdict doubles as an executable proof of
-irreducibility for the instance at hand.
+The certificate therefore either holds or raises: a returned verdict is an
+executable proof of irreducibility for the instance at hand.  The general
+factor searches on a BiPoly sextic, which also recover the factors of
+synthetic reducible sextics, are the tests' oracle and live with them.
 """
 
 from __future__ import annotations
@@ -55,31 +52,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .bipoly import BiPoly
-from .errors import ConstructionMismatchError, ZeroPolynomialError
+from .errors import ConstructionMismatchError
 from .field import Field, FieldElement, prime_field
-from .sextic import (
-    VARYING_COEFFS,
-    RamificationData,
-    build_model,
-    check_distinct,
-    coefficient_values,
-)
-from .unipoly import is_perfect_square
-
-
-@dataclass(frozen=True)
-class ShapeAWitness:
-    h1: BiPoly
-    h2: BiPoly
-
-
-@dataclass(frozen=True)
-class ShapeBWitness:
-    case: str
-    coefficients: tuple  # a1..a6
-    h1: BiPoly
-    h2: BiPoly
+from .sextic import RamificationData, check_distinct, coefficient_values
 
 
 @dataclass(frozen=True)
@@ -94,72 +69,7 @@ class CaseResiduals:
 @dataclass(frozen=True)
 class IrreducibilityVerdict:
     irreducible: bool
-    shape_a_witness: ShapeAWitness | None
-    shape_b_witness: ShapeBWitness | None
     shape_b_residuals: tuple
-
-
-def _shape_grid(f: BiPoly) -> dict:
-    """Coefficient grid of a shape-valid sextic, keyed like c_ij."""
-    if f.degree_y() != 4 or not f.coefficient(0, 4) == f.field.one:
-        raise ValueError("expected a monic quartic in y")
-    if any(j % 2 for (_i, j) in f.terms):
-        raise ValueError("expected a polynomial even in y")
-    if f.coefficient(4, 2) != f.field(-4):
-        raise ValueError("expected x^4 y^2 coefficient -4")
-    if f.y_slice(0).is_zero:
-        raise ZeroPolynomialError("the restriction f(x, 0) must not vanish")
-    grid = {}
-    for (i, j), c in f.terms.items():
-        if j == 2 and i > 4 or j == 4 and i > 0 or j == 0 and i > 6:
-            raise ValueError("not a sextic of the expected shape")
-        grid[(i, j)] = c
-    return grid
-
-
-def _c(grid: dict, i: int, j: int, field: Field) -> FieldElement:
-    return grid.get((i, j), field.zero)
-
-
-def shape_a_witness(f: BiPoly) -> ShapeAWitness | None:
-    """Search for a factorization into two even quadratics in y.
-
-    Solving (y^2 + q2)(y^2 + q4) = y^4 + B y^2 + C needs q2, q4 =
-    (B -+ g) / 2 where g^2 = B^2 - 4C.  The discriminant has degree 8 with
-    leading coefficient 16, so its monic square root (when it exists)
-    always yields base-field q2, q4.
-    """
-    _shape_grid(f)
-    field = f.field
-    B = f.y_slice(2)
-    C = f.y_slice(0)
-    disc = B * B - C.scale(field(4))
-    sq = is_perfect_square(disc)
-    if sq is None:
-        return None
-    g_monic, _lead = sq
-    g = g_monic.scale(field(4))  # disc = 16 * (monic part), sqrt(16) = 4
-    two_inv = field(2).inverse()
-    q2 = (B + g).scale(two_inv)
-    q4 = (B - g).scale(two_inv)
-    if q2.degree > 2:
-        q2, q4 = q4, q2
-    if q2.degree > 2:
-        return None
-    H1 = BiPoly(field, {(0, 2): field.one}) + BiPoly.from_unipoly(q2, "x", 0)
-    H2 = BiPoly(field, {(0, 2): field.one}) + BiPoly.from_unipoly(q4, "x", 0)
-    if H1 * H2 != f:
-        return None
-    return ShapeAWitness(H1, H2)
-
-
-def shape_a_test(rd: RamificationData) -> ShapeAWitness | None:
-    """Shape-A search on the model of the given branch data.
-
-    phi1 * phi2 has eight distinct roots, so its square test fails for every
-    admissible configuration; a witness here would disprove irreducibility.
-    """
-    return shape_a_witness(build_model(rd, cross_check=False).f)
 
 
 def _sqrt_candidates(field: Field, value: FieldElement, seed: int = 0):
@@ -279,49 +189,6 @@ def _shape_b_cases(ring: Ring, c, a3_options, a6_options, a4_options_zero):
     return cases
 
 
-def _witness_from_case(f: BiPoly, case: CaseResiduals) -> ShapeBWitness | None:
-    field = f.field
-    a1, a2, a3, a4, a5, a6 = case.coefficients
-    two = field(2)
-    linear = BiPoly(field, {(2, 0): two, (1, 0): a1, (0, 0): a2})
-    cubic = BiPoly(field, {(3, 0): a3, (2, 0): a4, (1, 0): a5, (0, 0): a6})
-    y = BiPoly(field, {(0, 1): field.one})
-    y2 = BiPoly(field, {(0, 2): field.one})
-    H1 = y2 + linear * y + cubic
-    H2 = y2 - linear * y + cubic
-    if H1 * H2 != f:
-        return None
-    return ShapeBWitness(case.case, case.coefficients, H1, H2)
-
-
-def shape_b_witness(f: BiPoly, seed: int = 0):
-    """Direct shape-B search on a shape-valid sextic over its base field.
-
-    Returns (witness or None, residuals per attempted case).  Used on
-    synthetic inputs; branch data goes through :func:`shape_b_test`, which
-    supplies the exact square roots and the normalising translation.
-    """
-    field = f.field
-    grid = _shape_grid(f)
-    a3_roots = _sqrt_candidates(field, _c(grid, 6, 0, field), seed)
-    a6_roots = _sqrt_candidates(field, _c(grid, 0, 0, field), seed)
-    a4_roots = _sqrt_candidates(field, _c(grid, 4, 0, field), seed)
-    a3_options = [(str(i + 1), v) for i, v in enumerate(a3_roots)]
-    a6_options = [(f".{i + 1}", v) for i, v in enumerate(a6_roots)]
-    a4_options = [(f"'{i + 1}", v) for i, v in enumerate(a4_roots)]
-    if not a3_options or not a6_options:
-        return None, ()
-    c = tuple(_c(grid, int(n[1]), int(n[2]), field) for n in VARYING_COEFFS)
-    cases = [CaseResiduals(*case) for case in _shape_b_cases(
-        element_ring(field), c, a3_options, a6_options, a4_options)]
-    for case in cases:
-        if all(r.is_zero for r in case.residuals):
-            witness = _witness_from_case(f, case)
-            if witness is not None:
-                return witness, tuple(cases)
-    return None, tuple(cases)
-
-
 def _shifted(e, c) -> tuple:
     """Symmetric functions of four roots after adding c to each root.
 
@@ -386,8 +253,8 @@ def _relabel_proof_cases(cases) -> list:
             for i, (label, coefficients, residuals) in enumerate(cases)]
 
 
-def shape_b_test(rd: RamificationData):
-    """Shape-B search for branch data, after the normalising translation.
+def shape_b_test(rd: RamificationData) -> tuple:
+    """Shape-B residual cases of branch data, after the normalising translation.
 
     Shifting every branch value by -alpha1 zeroes sigma4 while keeping tau4
     nonzero, so a6 = +-(sigma4 - tau4) never vanishes and a5 = c10/(2 a6) is
@@ -401,8 +268,8 @@ def shape_b_test(rd: RamificationData):
     elements.  A repeated branch value raises
     :class:`DuplicateRamificationPointError` before any of it.
 
-    On such data no case can have all five residuals zero, so the witness
-    is always ``None``.  Residuals that all vanish would make
+    Returns the :class:`CaseResiduals` of every case.  On such data no case
+    can have all five residuals zero.  Residuals that all vanish would make
     (y^2 + L y + g)(y^2 - L y + g) = (y^2 + g)^2 - L^2 y^2 equal to
     f = y^4 - 2(phi1 + phi2) y^2 + (phi1 - phi2)^2 (translated), with
     L = 2x^2 + a1 x + a2.  Comparing the y^0 terms gives g = +-(phi1 - phi2),
@@ -415,15 +282,15 @@ def shape_b_test(rd: RamificationData):
     field = rd.field
     if field.kind != "prime":
         cases = shape_b_residuals(element_ring(field), rd.sigma, rd.tau, rd.alphas[0])
-        return None, tuple(CaseResiduals(*case) for case in cases)
+        return tuple(CaseResiduals(*case) for case in cases)
     cases = shape_b_residuals(residue_ring(field.p), [v.val for v in rd.sigma],
                               [v.val for v in rd.tau], rd.alphas[0].val)
 
     def wrap(values):
         return tuple(FieldElement(field, v) for v in values)
 
-    return None, tuple(CaseResiduals(label, wrap(coefficients), wrap(residuals))
-                       for label, coefficients, residuals in cases)
+    return tuple(CaseResiduals(label, wrap(coefficients), wrap(residuals))
+                 for label, coefficients, residuals in cases)
 
 
 def is_absolutely_irreducible(rd: RamificationData) -> IrreducibilityVerdict:
@@ -432,18 +299,13 @@ def is_absolutely_irreducible(rd: RamificationData) -> IrreducibilityVerdict:
     Every factorization of a sextic of this shape over any extension of the
     base field is of shape A or shape B.  Shape A needs the discriminant
     16 phi1 phi2 of f as a quadratic in y^2 to be a square; it is squarefree
-    of degree 8 once the eight branch values are pairwise distinct, so
-    ``shape_a_witness`` is ``None`` without a search.  Shape B is decided by
+    of degree 8 once the eight branch values are pairwise distinct, so no
+    search is needed.  Shape B is decided by
     :func:`shape_b_test`, which checks that premise first (raising
     :class:`DuplicateRamificationPointError` on a repeated value) and
     computes every residual from the symmetric functions without building
     a sextic.  A case whose residuals all vanish is impossible on such data
-    and raises :class:`ConstructionMismatchError`.
+    and raises :class:`ConstructionMismatchError`, so a returned verdict is
+    always irreducible.
     """
-    wb, residuals = shape_b_test(rd)
-    return IrreducibilityVerdict(
-        irreducible=wb is None,
-        shape_a_witness=None,
-        shape_b_witness=wb,
-        shape_b_residuals=residuals,
-    )
+    return IrreducibilityVerdict(irreducible=True, shape_b_residuals=shape_b_test(rd))

@@ -2,7 +2,7 @@
 
 One call runs: validation, coefficient formulas, the polynomial-arithmetic
 cross-check, singularity classification and location with multiplicity
-certificates, the irreducibility searches, and the structural invariants
+certificates, the irreducibility certificate, and the structural invariants
 (Euler relation, square restriction to y = 0, genus bound).  The JSON form
 is key-ordered, and neither it nor the text form carries timings, so equal
 inputs render byte-identically.
@@ -62,25 +62,22 @@ class AnalysisReport:
     checks: dict
     seed: int
 
-    @property
-    def all_checks_pass(self) -> bool:
-        return all(self.checks.values())
-
 
 def analyze(rd: RamificationData, seed: int = 0) -> AnalysisReport:
     """Run the pipeline once; each stage's result is passed on, not redone.
 
-    ``build_model(cross_check=True)`` compares the coefficient formulas with
-    the direct assembly (and raises on a mismatch), so the
-    ``assembly_matches_formulas`` check reports that one comparison.
+    ``build_model`` compares the coefficient formulas with the direct
+    assembly and raises on a mismatch, so ``assembly_matches_formulas`` is
+    true once it has returned.  Likewise ``is_absolutely_irreducible``
+    certifies or raises, so ``irreducible`` is true on every returned report.
     """
-    model = build_model(rd, cross_check=True)
+    model = build_model(rd)
     h1 = h1_poly(rd)
     kind = classify(rd)
     points = tuple(singular_points(rd, seed, model, kind))
     verdict = is_absolutely_irreducible(rd)
     checks = {
-        "assembly_matches_formulas": model.cross_checked,
+        "assembly_matches_formulas": True,
         "euler_relation": euler_relation_holds(model.F),
         "y0_restriction_is_h1_squared": model.f.y_slice(0) == h1 * h1,
         "constants_c42_c04": model.coeffs.c42 == rd.field(-4)
@@ -148,17 +145,9 @@ def report_json(report: AnalysisReport) -> dict:
     }
     irreducibility = {
         "irreducible": verdict.irreducible,
-        "shape_a_witness": None
-        if verdict.shape_a_witness is None
-        else {"h1": str(verdict.shape_a_witness.h1), "h2": str(verdict.shape_a_witness.h2)},
-        "shape_b_witness": None
-        if verdict.shape_b_witness is None
-        else {
-            "case": verdict.shape_b_witness.case,
-            "coefficients": [element_json(a) for a in verdict.shape_b_witness.coefficients],
-            "h1": str(verdict.shape_b_witness.h1),
-            "h2": str(verdict.shape_b_witness.h2),
-        },
+        # null: the certificate holds or raises; the keys keep the schema
+        "shape_a_witness": None,
+        "shape_b_witness": None,
         "shape_b_residuals": {
             case.case: [element_json(r) for r in case.residuals]
             for case in verdict.shape_b_residuals

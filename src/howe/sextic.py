@@ -240,29 +240,28 @@ def assemble_sextic(rd: RamificationData) -> BiPoly:
 @dataclass(frozen=True)
 class SexticModel:
     """A sextic plane model: coefficients, affine polynomial f, projective
-    closure F, and the branch data it came from.  ``cross_checked`` records
-    that f was compared with the direct assembly and matched."""
+    closure F, and the branch data it came from."""
 
     rd: RamificationData
     coeffs: SexticCoefficients
     f: BiPoly
     F: HomPoly
-    cross_checked: bool = False
 
     @property
     def field(self) -> Field:
         return self.rd.field
 
 
-def build_model(rd: RamificationData, cross_check: bool = True) -> SexticModel:
+def build_model(rd: RamificationData) -> SexticModel:
     """Assemble the model from the coefficient formulas.
 
-    With ``cross_check`` the polynomial-arithmetic route is computed too and
-    compared term by term; a mismatch means a transcription bug and raises.
+    The polynomial-arithmetic route is computed too and compared term by
+    term; a mismatch means a transcription bug and raises, so every
+    returned model has passed that cross-check.
     """
     coeffs = sextic_coeffs(rd)
     f = coeffs.to_bipoly(rd.field)
-    if cross_check and f != assemble_sextic(rd):
+    if f != assemble_sextic(rd):
         raise ConstructionMismatchError(
             "coefficient formulas disagree with the direct assembly"
         )
@@ -270,7 +269,7 @@ def build_model(rd: RamificationData, cross_check: bool = True) -> SexticModel:
         getattr(coeffs, n).is_zero for n in ("c60", "c40", "c20", "c00")
     ):  # would make f divisible by y^2; impossible for distinct branch values
         raise ConstructionMismatchError("degenerate sextic: f(x, 0) = 0")
-    return SexticModel(rd, coeffs, f, homogenize(f, 6), cross_checked=cross_check)
+    return SexticModel(rd, coeffs, f, homogenize(f, 6))
 
 
 def genus_of_howe(g1: int, g2: int, r: int) -> int:

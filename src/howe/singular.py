@@ -25,8 +25,8 @@ d = t4 - s4 (so h1 = a x^3 + b x^2 + c x + d), in the Sylvester convention of
 disc(h1) = b^2 c^2 - 4 a c^3 - 4 b^3 d - 27 a^2 d^2 + 18 a b c d, and
 Res(h1', h1'') = -12 a (b^2 - 3 a c); for a quadratic (a = 0),
 Res(h1, h1') = -b disc(h1) with disc(h1) = c^2 - 4 b d (Cohen, *A Course
-in Computational Algebraic Number Theory*, 3.3).  ``resultant`` and
-``sylvester_matrix`` stay public as the independent oracle.  The closed
+in Computational Algebraic Number Theory*, 3.3).  ``unipoly.resultant``
+stays public as the general case they are tested against.  The closed
 forms (:func:`classify_values`) use ring operations only, with the is-zero
 test supplied by the caller, so ``howe.sampling`` runs the same copy on
 integers mod p.
@@ -161,9 +161,6 @@ class SingularPoint:
     conjugate_count: int = 1
     multiplicity: int = dc_field(default=2)
 
-    def is_rational(self) -> bool:
-        return self.coords is not None and self.extension_degree == 1
-
 
 def _nonzero_certificate(partial: str, value: FieldElement, coords: tuple) -> Certificate:
     if value.is_zero:
@@ -221,11 +218,11 @@ def singular_points(rd: RamificationData, rng_seed: int = 0,
     -4 (phi1 + phi2) is -8 phi1.  A failed check raises NotSingularError,
     a vanishing certificate MultiplicityExceedsTwoError.
 
-    ``model`` and ``kind`` default to ``build_model(rd, cross_check=False)``
-    and ``classify(rd)``; a caller that already holds them passes them in.
+    ``model`` and ``kind`` default to ``build_model(rd)`` and
+    ``classify(rd)``; a caller that already holds them passes them in.
     """
     if model is None:
-        model = build_model(rd, cross_check=False)
+        model = build_model(rd)
     if kind is None:
         kind = classify(rd)
     field = rd.field
@@ -450,20 +447,6 @@ def rational_point_set(points) -> set:
             continue
         out.add(tuple(c.val for c in pt.coords))
     return out
-
-
-def no_offaxis_singularities_check(F: HomPoly, budget: int = 10**6) -> bool:
-    """True when the scan finds no singular point with y != 0 off the two
-    admissible points at infinity."""
-    one = F.field.one.val
-    zero = F.field.zero.val
-    for (x, y, z) in brute_force_singular_scan(F, budget):
-        if z == one:
-            if y != zero:
-                return False
-        elif (x, y, z) not in ((zero, one, zero), (one, zero, zero)):
-            return False
-    return True
 
 
 def genus_bound_check(t: SingularityType) -> bool:

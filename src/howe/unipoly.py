@@ -2,10 +2,10 @@
 
 Provides arithmetic, gcd, formal derivatives, resultants (Sylvester
 determinant convention, rows of the first argument on top), squarefree
-decomposition in characteristic 0 and p, a perfect-square test, root
-finding over finite fields by distinct-degree plus seeded equal-degree
-splitting, and factorization over Q: rational roots by p-adic lifting, then
-irreducible factors of degree <= 3.
+decomposition in characteristic 0 and p, root finding over finite fields
+by distinct-degree plus seeded equal-degree splitting, and factorization
+over Q: rational roots by p-adic lifting, then irreducible factors of
+degree <= 3.
 """
 
 from __future__ import annotations
@@ -292,23 +292,6 @@ def gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     return a.monic()
 
 
-def sylvester_matrix(f: UniPoly, g: UniPoly):
-    """Sylvester matrix of (f, g): deg(g) rows of f above deg(f) rows of g."""
-    if f.is_zero or g.is_zero:
-        raise ZeroPolynomialError("Sylvester matrix of a zero polynomial")
-    m, n = f.degree, g.degree
-    size = m + n
-    zero = f.field.zero
-    rows = []
-    fc = [f.coeffs[m - i] for i in range(m + 1)]  # leading first
-    gc = [g.coeffs[n - i] for i in range(n + 1)]
-    for i in range(n):
-        rows.append([zero] * i + fc + [zero] * (size - i - m - 1))
-    for i in range(m):
-        rows.append([zero] * i + gc + [zero] * (size - i - n - 1))
-    return rows
-
-
 def resultant(f: UniPoly, g: UniPoly) -> FieldElement:
     """Resultant of (f, g), equal to the Sylvester determinant with f-rows first.
 
@@ -456,34 +439,6 @@ def _pth_root(f: UniPoly) -> UniPoly:
         # p-th root of c in F_{p^k} is c^(p^(k-1))
         coeffs.append(c if k == 1 else c ** (p ** (k - 1)))
     return UniPoly.from_coeffs(field, coeffs)
-
-
-def squarefree_part(f: UniPoly) -> UniPoly:
-    """Monic product of the distinct irreducible factors of f."""
-    if f.is_zero:
-        raise ZeroPolynomialError("squarefree part of zero")
-    _, factors = squarefree_decomposition(f)
-    out = UniPoly.one(f.field)
-    for g, _ in factors:
-        out = out * g
-    return out
-
-
-def is_perfect_square(f: UniPoly):
-    """(g, c) with f = c * g^2 for monic g and scalar c = lc(f), else None.
-
-    The monic part of f is a square exactly when every multiplicity in its
-    squarefree decomposition is even.
-    """
-    if f.is_zero:
-        raise ZeroPolynomialError("perfect-square test of zero")
-    lead, factors = squarefree_decomposition(f)
-    if any(e % 2 for _, e in factors):
-        return None
-    g = UniPoly.one(f.field)
-    for h, e in factors:
-        g = g * h ** (e // 2)
-    return g, lead
 
 
 def _finite_order(field: Field) -> int:

@@ -1,0 +1,210 @@
+"""General searches that the library's certificates are tested against.
+
+The library certifies irreducibility and locates singular points from
+closed forms in the branch data, and raises when a certificate fails.  The
+routines here take the general route instead: factor searches on an
+arbitrary shape-valid sextic (which also recover the factors of synthetic
+reducible ones), the Sylvester matrix, squarefree parts and the
+perfect-square test, and the brute-force check for off-axis singularities.
+No library path calls them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from howe.bipoly import BiPoly, HomPoly
+from howe.errors import ZeroPolynomialError
+from howe.field import Field, FieldElement
+from howe.irreducible import CaseResiduals, _shape_b_cases, _sqrt_candidates, element_ring
+from howe.sextic import VARYING_COEFFS, RamificationData, build_model
+from howe.singular import brute_force_singular_scan
+from howe.unipoly import UniPoly, squarefree_decomposition
+
+
+# -- factor searches on a shape-valid sextic ---------------------------------
+
+
+@dataclass(frozen=True)
+class ShapeAWitness:
+    h1: BiPoly
+    h2: BiPoly
+
+
+@dataclass(frozen=True)
+class ShapeBWitness:
+    case: str
+    coefficients: tuple  # a1..a6
+    h1: BiPoly
+    h2: BiPoly
+
+
+def _shape_grid(f: BiPoly) -> dict:
+    """Coefficient grid of a shape-valid sextic, keyed like c_ij."""
+    if f.degree_y() != 4 or not f.coefficient(0, 4) == f.field.one:
+        raise ValueError("expected a monic quartic in y")
+    if any(j % 2 for (_i, j) in f.terms):
+        raise ValueError("expected a polynomial even in y")
+    if f.coefficient(4, 2) != f.field(-4):
+        raise ValueError("expected x^4 y^2 coefficient -4")
+    if f.y_slice(0).is_zero:
+        raise ZeroPolynomialError("the restriction f(x, 0) must not vanish")
+    grid = {}
+    for (i, j), c in f.terms.items():
+        if j == 2 and i > 4 or j == 4 and i > 0 or j == 0 and i > 6:
+            raise ValueError("not a sextic of the expected shape")
+        grid[(i, j)] = c
+    return grid
+
+
+def _c(grid: dict, i: int, j: int, field: Field) -> FieldElement:
+    return grid.get((i, j), field.zero)
+
+
+def shape_a_witness(f: BiPoly) -> ShapeAWitness | None:
+    """Search for a factorization into two even quadratics in y.
+
+    Solving (y^2 + q2)(y^2 + q4) = y^4 + B y^2 + C needs q2, q4 =
+    (B -+ g) / 2 where g^2 = B^2 - 4C.  The discriminant has degree 8 with
+    leading coefficient 16, so its monic square root (when it exists)
+    always yields base-field q2, q4.
+    """
+    _shape_grid(f)
+    field = f.field
+    B = f.y_slice(2)
+    C = f.y_slice(0)
+    disc = B * B - C.scale(field(4))
+    sq = is_perfect_square(disc)
+    if sq is None:
+        return None
+    g_monic, _lead = sq
+    g = g_monic.scale(field(4))  # disc = 16 * (monic part), sqrt(16) = 4
+    two_inv = field(2).inverse()
+    q2 = (B + g).scale(two_inv)
+    q4 = (B - g).scale(two_inv)
+    if q2.degree > 2:
+        q2, q4 = q4, q2
+    if q2.degree > 2:
+        return None
+    H1 = BiPoly(field, {(0, 2): field.one}) + BiPoly.from_unipoly(q2, "x", 0)
+    H2 = BiPoly(field, {(0, 2): field.one}) + BiPoly.from_unipoly(q4, "x", 0)
+    if H1 * H2 != f:
+        return None
+    return ShapeAWitness(H1, H2)
+
+
+def shape_a_test(rd: RamificationData) -> ShapeAWitness | None:
+    """Shape-A search on the model of the given branch data.
+
+    phi1 * phi2 has eight distinct roots, so its square test fails for every
+    admissible configuration; a witness here would disprove irreducibility.
+    """
+    return shape_a_witness(build_model(rd).f)
+
+
+def _witness_from_case(f: BiPoly, case: CaseResiduals) -> ShapeBWitness | None:
+    field = f.field
+    a1, a2, a3, a4, a5, a6 = case.coefficients
+    two = field(2)
+    linear = BiPoly(field, {(2, 0): two, (1, 0): a1, (0, 0): a2})
+    cubic = BiPoly(field, {(3, 0): a3, (2, 0): a4, (1, 0): a5, (0, 0): a6})
+    y = BiPoly(field, {(0, 1): field.one})
+    y2 = BiPoly(field, {(0, 2): field.one})
+    H1 = y2 + linear * y + cubic
+    H2 = y2 - linear * y + cubic
+    if H1 * H2 != f:
+        return None
+    return ShapeBWitness(case.case, case.coefficients, H1, H2)
+
+
+def shape_b_witness(f: BiPoly, seed: int = 0):
+    """Direct shape-B search on a shape-valid sextic over its base field.
+
+    Returns (witness or None, residuals per attempted case).  Used on
+    synthetic inputs; branch data goes through ``howe.irreducible.shape_b_test``,
+    which supplies the exact square roots and the normalising translation.
+    """
+    field = f.field
+    grid = _shape_grid(f)
+    a3_roots = _sqrt_candidates(field, _c(grid, 6, 0, field), seed)
+    a6_roots = _sqrt_candidates(field, _c(grid, 0, 0, field), seed)
+    a4_roots = _sqrt_candidates(field, _c(grid, 4, 0, field), seed)
+    a3_options = [(str(i + 1), v) for i, v in enumerate(a3_roots)]
+    a6_options = [(f".{i + 1}", v) for i, v in enumerate(a6_roots)]
+    a4_options = [(f"'{i + 1}", v) for i, v in enumerate(a4_roots)]
+    if not a3_options or not a6_options:
+        return None, ()
+    c = tuple(_c(grid, int(n[1]), int(n[2]), field) for n in VARYING_COEFFS)
+    cases = [CaseResiduals(*case) for case in _shape_b_cases(
+        element_ring(field), c, a3_options, a6_options, a4_options)]
+    for case in cases:
+        if all(r.is_zero for r in case.residuals):
+            witness = _witness_from_case(f, case)
+            if witness is not None:
+                return witness, tuple(cases)
+    return None, tuple(cases)
+
+
+# -- univariate oracles ------------------------------------------------------
+
+
+def sylvester_matrix(f: UniPoly, g: UniPoly):
+    """Sylvester matrix of (f, g): deg(g) rows of f above deg(f) rows of g."""
+    if f.is_zero or g.is_zero:
+        raise ZeroPolynomialError("Sylvester matrix of a zero polynomial")
+    m, n = f.degree, g.degree
+    size = m + n
+    zero = f.field.zero
+    rows = []
+    fc = [f.coeffs[m - i] for i in range(m + 1)]  # leading first
+    gc = [g.coeffs[n - i] for i in range(n + 1)]
+    for i in range(n):
+        rows.append([zero] * i + fc + [zero] * (size - i - m - 1))
+    for i in range(m):
+        rows.append([zero] * i + gc + [zero] * (size - i - n - 1))
+    return rows
+
+
+def squarefree_part(f: UniPoly) -> UniPoly:
+    """Monic product of the distinct irreducible factors of f."""
+    if f.is_zero:
+        raise ZeroPolynomialError("squarefree part of zero")
+    _, factors = squarefree_decomposition(f)
+    out = UniPoly.one(f.field)
+    for g, _ in factors:
+        out = out * g
+    return out
+
+
+def is_perfect_square(f: UniPoly):
+    """(g, c) with f = c * g^2 for monic g and scalar c = lc(f), else None.
+
+    The monic part of f is a square exactly when every multiplicity in its
+    squarefree decomposition is even.
+    """
+    if f.is_zero:
+        raise ZeroPolynomialError("perfect-square test of zero")
+    lead, factors = squarefree_decomposition(f)
+    if any(e % 2 for _, e in factors):
+        return None
+    g = UniPoly.one(f.field)
+    for h, e in factors:
+        g = g * h ** (e // 2)
+    return g, lead
+
+
+# -- singular locus ----------------------------------------------------------
+
+
+def no_offaxis_singularities_check(F: HomPoly, budget: int = 10**6) -> bool:
+    """True when the scan finds no singular point with y != 0 off the two
+    admissible points at infinity."""
+    one = F.field.one.val
+    zero = F.field.zero.val
+    for (x, y, z) in brute_force_singular_scan(F, budget):
+        if z == one:
+            if y != zero:
+                return False
+        elif (x, y, z) not in ((zero, one, zero), (one, zero, zero)):
+            return False
+    return True

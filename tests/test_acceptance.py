@@ -26,8 +26,6 @@ from howe import (
     random_fiber_points,
     rational_field,
     rational_point_set,
-    shape_a_witness,
-    shape_b_witness,
     singular_points,
     sextic_coeffs,
     assemble_sextic,
@@ -39,6 +37,7 @@ from howe.sampling import sample_types
 from howe.unipoly import UniPoly
 
 from conftest import random_branch_data
+from oracles import shape_a_witness, shape_b_witness
 
 
 @contextmanager
@@ -101,8 +100,6 @@ def test_criterion_3_irreducibility(instance_pool):
             for rd in pool:
                 verdict = is_absolutely_irreducible(rd)
                 assert verdict.irreducible
-                assert verdict.shape_a_witness is None
-                assert verdict.shape_b_witness is None
         # synthetic reducible sextics of both shapes are detected
         F = prime_field(31)
         rng = random.Random(99)
@@ -161,7 +158,7 @@ def test_criterion_5_multiplicity_and_structure(instance_pool):
     with criterion(5, "double-point certificates and structural identities", 30.0):
         for pool in instance_pool.values():
             for rd in pool:
-                model = build_model(rd, cross_check=False)
+                model = build_model(rd)
                 kind = classify(rd)
                 assert kind.total in (2, 3, 4)
                 assert genus_bound_check(kind)

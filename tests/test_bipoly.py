@@ -100,6 +100,18 @@ class TestPartials:
         F = HomPoly(F31, {(6, 0, 0): 3, (4, 2, 0): 7}, 6)
         assert F.partial("z").is_zero
 
+    def test_partial_of_edited_mixed_degree_terms(self, F31):
+        # partial builds its result as trusted, so terms edited to mixed
+        # degrees after construction are differentiated term by term
+        F = HomPoly(F31, {(2, 1, 0): 3, (0, 0, 3): 5}, 3)
+        F.terms[(1, 4, 0)] = F31(7)
+        assert F.partial("y").terms == {(2, 0, 0): F31(3), (1, 3, 0): F31(28)}
+        assert F.partial("x").terms == {(1, 1, 0): F31(6), (0, 4, 0): F31(7)}
+
+    def test_untrusted_mixed_degrees_rejected(self, F31):
+        with pytest.raises(ValueError):
+            HomPoly(F31, {(2, 1, 0): 3, (1, 4, 0): 7}, 3)
+
 
 class TestHomogenize:
     def test_round_trip(self, F31):
@@ -184,8 +196,7 @@ class TestEvalAndShift:
 def euler_by_partials(F):
     """The Euler relation by building the three partials: the oracle.
 
-    Works on the term dicts, since ``HomPoly`` rejects the mixed-degree
-    terms of an edited polynomial."""
+    Works on the term dicts, so it shares no code with ``HomPoly``."""
     diff = {e: c * F.degree for e, c in F.terms.items()}
     for idx in range(3):
         partial = {}
@@ -212,7 +223,7 @@ class TestModelInvariants:
     @pytest.mark.parametrize("name", sorted(closed_form_pools()))
     def test_euler_relation_matches_partials(self, name):
         for rd in closed_form_pools()[name]:
-            F = build_model(rd, cross_check=False).F
+            F = build_model(rd).F
             assert euler_relation_holds(F) is euler_by_partials(F) is True
 
             off = HomPoly(F.field, dict(F.terms), F.degree)

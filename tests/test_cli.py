@@ -1,6 +1,8 @@
 """Command-line behaviour: verbs, exit codes, JSON stability."""
 
 import json
+import math
+import random
 import time
 
 import pytest
@@ -140,6 +142,43 @@ class TestBuild:
         assert payload["field"] == {"kind": "rational"}
         assert payload["input"]["alpha"] == ["0", "1", "-1", "1/2"]
         assert payload["irreducibility"]["irreducible"] is True
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_rational_inputs_at_digit_bound(self, capsys, json_flag):
+        # the resultant Res(h1, h1') is printed with close to 40 times the
+        # input's digits, just below CPython's 4300-digit str() limit
+        alpha, beta = fraction_values(cli.MAX_RATIONAL_DIGITS, 1)
+        code, out, err = run(capsys, "build", "--field", "rational",
+                             f"--alpha={alpha}", f"--beta={beta}", *json_flag)
+        assert code == 0, err
+        if json_flag:
+            res = json.loads(out)["singularity"]["resultant_h1_h1prime"]
+        else:
+            res = out.split("Res(h1, h1') = ")[1].split()[0]
+        assert len(res) > 3900
+
+    @pytest.mark.parametrize("digits", [cli.MAX_RATIONAL_DIGITS + 1, 300])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_rational_inputs_over_digit_bound_exit_3(self, capsys, digits, json_flag):
+        alpha, beta = fraction_values(digits, 2)
+        code, out, err = run(capsys, "build", "--field", "rational",
+                             f"--alpha={alpha}", f"--beta={beta}", *json_flag)
+        assert code == cli.EXIT_INPUT == 3
+        assert out == ""
+        assert f"at most {cli.MAX_RATIONAL_DIGITS} digits" in err
+        assert "Traceback" not in err
+
+
+def fraction_values(digits: int, seed: int):
+    """--alpha and --beta texts of eight signed fractions whose numerator and
+    denominator have exactly ``digits`` digits in lowest terms."""
+    rng = random.Random(seed)
+    values = []
+    while len(values) < 8:
+        n, d = (rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(2))
+        if math.gcd(n, d) == 1:
+            values.append(f"{rng.choice(('', '-'))}{n}/{d}")
+    return ",".join(values[:4]), ",".join(values[4:])
 
 
 class TestVerifyPaper:

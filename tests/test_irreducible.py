@@ -1,5 +1,6 @@
-"""Irreducibility machinery: empty searches on valid data, witness recovery
-on synthetic reducible sextics, and closed-form residual identities."""
+"""Irreducibility machinery: the certificate on valid data, witness recovery
+by the oracle searches on synthetic reducible sextics, and closed-form
+residual identities."""
 
 import random
 import time
@@ -18,16 +19,12 @@ from howe import (
     is_absolutely_irreducible,
     prime_field,
     rational_field,
-    shape_a_test,
-    shape_a_witness,
     shape_b_test,
-    shape_b_witness,
     validate,
 )
 from howe.irreducible import (
     _relabel_proof_cases,
     _shape_b_cases,
-    _shape_grid,
     _sqrt_candidates,
     element_ring,
     residue_ring,
@@ -38,6 +35,7 @@ from howe.sampling import sample_types
 from howe.unipoly import UniPoly
 
 from conftest import random_branch_data
+from oracles import _shape_grid, shape_a_test, shape_a_witness, shape_b_witness
 
 
 def even_quadratic(field, coeffs):
@@ -60,8 +58,6 @@ class TestValidDataIsIrreducible:
         for ex in REFERENCE_EXAMPLES:
             verdict = is_absolutely_irreducible(reference_data(ex))
             assert verdict.irreducible
-            assert verdict.shape_a_witness is None
-            assert verdict.shape_b_witness is None
             for case in verdict.shape_b_residuals:
                 assert any(not r.is_zero for r in case.residuals)
 
@@ -88,9 +84,7 @@ class TestValidDataIsIrreducible:
         for _ in range(40):
             rd = random_branch_data(prime_field(31), rng)
             assert shape_a_test(rd) is None
-            witness, cases = shape_b_test(rd)
-            assert witness is None
-            assert cases  # residual diagnostics retained
+            assert shape_b_test(rd)  # residual diagnostics retained
 
 
 class TestShapeAWitness:
@@ -200,7 +194,7 @@ class TestResidualIdentities:
             rd = random_branch_data(QQ, rng, span=20)
             if (rd.sigma[0] - rd.tau[0]).is_zero:
                 continue
-            _, cases = shape_b_test(rd)
+            cases = shape_b_test(rd)
             b2 = [c for c in cases if c.case == "B2"]
             assert len(b2) == 1
             a1, a2, a3, a4 = (v.val for v in rd.alphas)
@@ -220,7 +214,7 @@ class TestResidualIdentities:
             if (rd.sigma[0] - rd.tau[0]).is_zero:
                 continue
             rd0 = rd.translated(-rd.alphas[0])
-            _, cases = shape_b_test(rd)
+            cases = shape_b_test(rd)
             b1 = [c for c in cases if c.case == "B1"][0]
             s3 = rd0.sigma[2].val
             s4 = rd0.sigma[3].val
@@ -253,7 +247,7 @@ def shape_b_cases_from_model(rd):
     recipe runs here on field elements.  Only the recipe is shared.
     """
     rd0 = rd.translated(-rd.alphas[0])
-    f0 = build_model(rd0, cross_check=False).f
+    f0 = build_model(rd0).f
     field = rd.field
     d1 = rd0.sigma[0] - rd0.tau[0]
     d2 = rd0.sigma[1] - rd0.tau[1]
@@ -270,6 +264,20 @@ def shape_b_cases_from_model(rd):
     c = tuple(grid.get((int(n[1]), int(n[2])), field.zero) for n in VARYING_COEFFS)
     cases = _shape_b_cases(element_ring(field), c, a3_options, a6_options, a4_zero)
     return [irreducible.CaseResiduals(*case) for case in _relabel_proof_cases(cases)]
+
+
+def count_bipolys(monkeypatch) -> list:
+    """Record every BiPoly constructed from here on; a sextic model (from
+    ``build_model`` or any other route) builds at least one."""
+    calls = []
+    original = BiPoly.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(BiPoly, "__init__", counting)
+    return calls
 
 
 def _plain_pool(field, rng, n, span=None):
@@ -322,8 +330,7 @@ class TestClosedFormAgainstModel:
     @pytest.mark.parametrize("name", sorted(ORACLE_POOLS))
     def test_shape_b_cases_match_model_route(self, name):
         for rd in ORACLE_POOLS[name]:
-            witness, cases = shape_b_test(rd)
-            assert witness is None
+            cases = shape_b_test(rd)
             expected = shape_b_cases_from_model(rd)
             assert [c.case for c in cases] == [c.case for c in expected]
             assert [c.coefficients for c in cases] == [c.coefficients for c in expected]
@@ -333,24 +340,17 @@ class TestClosedFormAgainstModel:
     def test_shape_a_search_agrees_with_distinctness(self, name):
         for rd in ORACLE_POOLS[name]:
             assert shape_a_test(rd) is None
-            assert is_absolutely_irreducible(rd).shape_a_witness is None
 
     def test_pools_reach_the_a3_zero_cases(self):
         labels = {c.case for rd in ORACLE_POOLS["s1=t1, s2=t2"]
-                  for c in shape_b_test(rd)[1]}
+                  for c in shape_b_test(rd)}
         assert labels == {"B0.1", "B0.2"}
         labels = {c.case for rd in ORACLE_POOLS["s1=t1"]
-                  for c in shape_b_test(rd)[1]}
+                  for c in shape_b_test(rd)}
         assert labels == {"B0.1", "B0.2", "B0.3", "B0.4"}
 
     def test_certificate_builds_no_model(self, monkeypatch):
-        calls = []
-
-        def counting_build_model(*args, **kwargs):
-            calls.append(args)
-            return build_model(*args, **kwargs)
-
-        monkeypatch.setattr(irreducible, "build_model", counting_build_model)
+        calls = count_bipolys(monkeypatch)
         for name in ("F31", "Q_H1000", "s1=t1", "F25"):
             for rd in ORACLE_POOLS[name]:
                 assert is_absolutely_irreducible(rd).irreducible
@@ -361,17 +361,12 @@ class TestClosedFormAgainstModel:
         # inject a case whose residuals all vanish and check that it is
         # reported as a broken invariant, without building a model, on the
         # prime-field integer lane and on field elements
-        calls = []
-
-        def counting_build_model(*args, **kwargs):
-            calls.append(args)
-            return build_model(*args, **kwargs)
+        calls = count_bipolys(monkeypatch)
 
         def with_vanishing_case(ring, c, *options):
             cases = _shape_b_cases(ring, c, *options)
             return cases + [("B", cases[0][1], (ring.zero,) * 5)]
 
-        monkeypatch.setattr(irreducible, "build_model", counting_build_model)
         monkeypatch.setattr(irreducible, "_shape_b_cases", with_vanishing_case)
         for name in ("F31", "Q_H50"):
             rd = ORACLE_POOLS[name][0]

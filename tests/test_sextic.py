@@ -119,7 +119,7 @@ class TestCoefficients:
         for field, span in ((prime_field(31), None), (prime_field(1009), None), (QQ, 50)):
             for _ in range(50):
                 rd = random_branch_data(field, rng, span=span)
-                model = build_model(rd, cross_check=False)
+                model = build_model(rd)
                 assert model.f == assemble_sextic(rd)
                 assert model.coeffs.c42 == field(-4)
                 assert model.coeffs.c04 == field.one

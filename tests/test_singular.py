@@ -17,13 +17,11 @@ from howe import (
     gcd,
     genus_bound_check,
     h1_poly,
-    no_offaxis_singularities_check,
     prime_field,
     rational_point_set,
     resultant,
     sextic_from_quartics,
     singular_points,
-    sylvester_matrix,
     validate,
     verify_multiplicity_two,
 )
@@ -33,6 +31,7 @@ from howe.singular import TYPE_TABLE, SingularityType
 from howe.unipoly import UniPoly
 
 from conftest import closed_form_pools, determinant, random_branch_data
+from oracles import no_offaxis_singularities_check, sylvester_matrix
 
 
 def reference(name):

@@ -16,18 +16,16 @@ from howe import (
     factor_rational,
     gcd,
     is_irreducible,
-    is_perfect_square,
     prime_field,
     rational_field,
     resultant,
     roots,
     squarefree_decomposition,
-    squarefree_part,
-    sylvester_matrix,
 )
 from howe.unipoly import UniPoly
 
 from conftest import determinant, expand_from_roots, random_branch_data
+from oracles import is_perfect_square, squarefree_part, sylvester_matrix
 
 
 class TestFromRoots:
