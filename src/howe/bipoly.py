@@ -151,16 +151,6 @@ class BiPoly:
             acc = acc + emb(c) * xpow[i] * ypow[j]
         return acc
 
-    def shift_x(self, a: FieldElement) -> "BiPoly":
-        """Substitute x -> x + a."""
-        out = BiPoly.zero(self.field)
-        for j in range(self.degree_y() + 1):
-            u = self.y_slice(j)
-            if u.is_zero:
-                continue
-            out = out + BiPoly.from_unipoly(u.shift(a), "x", j)
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, BiPoly):
             return NotImplemented

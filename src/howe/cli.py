@@ -6,9 +6,10 @@ Verbs:
   sample        draw random configurations and tabulate singularity types
   scan          compare located singular points against a brute-force scan
 
-Exit codes: 0 success, 1 reference or oracle mismatch, 2 field error,
-3 input validation error, 4 scan budget exceeded, 5 internal failure: an
-invariant check or any unexpected exception (stderr then carries the
+Exit codes: 0 success (and --help), 1 reference or oracle mismatch,
+2 field error, 3 input validation error (a usage error such as a missing
+or unknown option included), 4 scan budget exceeded, 5 internal failure:
+an invariant check or any unexpected exception (stderr then carries the
 traceback and a one-line replay record).
 """
 
@@ -205,8 +206,34 @@ def cmd_scan(args) -> int:
     return EXIT_OK if agree else EXIT_MISMATCH
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors on exit 3, not 2, which means a field error
+    here; the message still goes to stderr."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+def _join_point_lists(argv) -> list:
+    """Attach the value after --alpha or --beta to the option as --alpha=...
+
+    argparse takes a token such as ``-1,0,2,20`` for an option, so a point
+    list that starts with a negative value would otherwise not parse.  A
+    following token that starts with ``--`` is left alone, so a missing
+    value is still reported as one.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] in ("--alpha", "--beta") and not token.startswith("--"):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="howe",
         description=(
             "Plane sextic models for the genus-5 curves glued from two"
@@ -257,7 +284,7 @@ def replay_record(args) -> str:
 
 def main(argv=None) -> int:
     parser = make_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_point_lists(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (FieldArgumentError, UnsupportedFieldError) as exc:

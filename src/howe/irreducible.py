@@ -18,21 +18,29 @@ the eight values are pairwise distinct it is squarefree of degree 8, hence
 not a square even over the algebraic closure, and shape A is impossible.
 The certificate checks that premise directly (``sextic.check_distinct``).
 
-For shape B the outer coefficients pin a3^2 = c60 and a6^2 = c00, both
-literal squares of symmetric-function differences, so all candidate
-coefficients live in the base field and the test needs no field extension;
-failure is certified by the residual values q1..q5 of the five remaining
-coefficient comparisons.  Branch data is translated so that alpha1 = 0
-before testing, which forces a6 != 0 and keeps every division defined.
-The translation acts on the symmetric functions alone (a Taylor shift, see
-:func:`_shifted`), and the coefficients of the translated model come from
-the same closed forms as the model itself, so no polynomial is built.
-The shift, those closed forms and the case recipe use ring operations
-only; the steps that are not (reduce, divide, is-zero, square roots) come
-from a :class:`Ring`.  The lane is chosen by the field: over F_p the one
-copy runs on integers mod p (:func:`residue_ring`) and only the returned
-cases are wrapped as field elements, and over Q and F_{p^k} it runs on
-field elements (:func:`element_ring`).
+For shape B, comparing coefficients gives a3^2 = c60 = d1^2 and
+a6^2 = c00 = d4^2, where d_k = sigma_k - tau_k, so every candidate lies in
+the base field and the test needs no field extension; failure is certified
+by the residual values q1..q5 of the five remaining coefficient
+comparisons.  Branch data is first translated so that alpha1 = 0 (a Taylor
+shift of the symmetric functions, see :func:`_shifted`); then
+sigma4 = 0 and d4 = -tau4 = -prod(beta_j - alpha1) != 0.  With signs s, t
+in {+1, -1} every candidate is read off the differences, with no division
+or square root:
+
+  a3 = s d1,  a4 = c50 / (2 a3) = -s d2    (c50 = -2 d1 d2),
+  a6 = t d4,  a5 = c10 / (2 a6) = -t d3    (c10 = -2 d3 d4),
+
+and a1, a2 follow linearly from c32 and c22.  When d1 = 0, a3 = 0 and the
+x^4 coefficient gives a4^2 = c40 = d2^2, so a4 = +-d2 (one value when
+d2 = 0).  The coefficients of the translated model come from the same
+closed forms as the model itself, so no polynomial is built.  The shift,
+those closed forms and the case plan use ring operations only; reducing,
+the zero test and 1/4 come from a :class:`Ring`.  The lane is chosen by
+the field: over F_p the one copy runs on integers mod p
+(:func:`residue_ring`) and only the returned cases are wrapped as field
+elements, and over Q and F_{p^k} it runs on field elements
+(:func:`element_ring`).
 A shape-B factor would force 4 phi1 or 4 phi2 to be a square (see
 :func:`shape_b_test`), so on distinct branch data no case has all residuals
 zero; such a case raises :class:`ConstructionMismatchError`.
@@ -46,14 +54,11 @@ synthetic reducible sextics, are the tests' oracle and live with them.
 from __future__ import annotations
 
 import functools
-import math
-import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .errors import ConstructionMismatchError
-from .field import Field, FieldElement, prime_field
+from .field import Field, FieldElement
 from .sextic import RamificationData, check_distinct, coefficient_values
 
 
@@ -72,120 +77,76 @@ class IrreducibilityVerdict:
     shape_b_residuals: tuple
 
 
-def _sqrt_candidates(field: Field, value: FieldElement, seed: int = 0):
-    """Both square roots of a field element, empty when none exist.
-
-    Finite fields use the field's own square root; over Q an exact
-    perfect-square test on numerator and denominator suffices.
-    """
-    if value.is_zero:
-        return [field.zero]
-    if field.kind == "rational":
-        fr: Fraction = value.val
-        if fr < 0:
-            return []
-        num, den = fr.numerator, fr.denominator
-        rn, rd = math.isqrt(num), math.isqrt(den)
-        if rn * rn != num or rd * rd != den:
-            return []
-        r = field(Fraction(rn, rd))
-        return [r, -r]
-    pair = field.sqrt(value, seed)
-    return [] if pair is None else list(pair)
-
-
 class Ring(NamedTuple):
-    """The steps of the shape-B recipe that are not ring operations.
+    """The steps of the shape-B plan that are not ring operations.
 
     The formulas themselves use only +, -, * and integer constants, so one
     copy runs on :class:`FieldElement` values (:func:`element_ring`) and on
     plain integers mod p (:func:`residue_ring`).  ``reduce`` returns the
-    canonical representative (the identity on field elements), and
-    ``div``, ``is_zero`` and ``sqrt`` return canonical values.
+    canonical representative (the identity on field elements).
     """
 
-    zero: object
     four_inv: object
     reduce: Callable
-    div: Callable
     is_zero: Callable
-    sqrt: Callable  # both square roots, empty when none exist
 
 
 def element_ring(field: Field) -> Ring:
     """Ring steps on elements of ``field``."""
-    return Ring(field.zero, field(4).inverse(), _identity, operator.truediv,
-                operator.attrgetter("is_zero"),
-                functools.partial(_sqrt_candidates, field))
+    return Ring(field(4).inverse(), _identity, _element_is_zero)
 
 
 @functools.lru_cache(maxsize=64)
 def residue_ring(p: int) -> Ring:
     """Ring steps on integers mod the prime p; values reduce into [0, p)."""
-    field = prime_field(p)
-
-    def div(a, b):
-        return a * pow(b, -1, p) % p
-
-    def sqrt(v):
-        return [r.val for r in _sqrt_candidates(field, field(v))]
-
-    return Ring(0, pow(4, -1, p), lambda v: v % p, div,
-                lambda v: v % p == 0, sqrt)
+    return Ring(pow(4, -1, p), lambda v: v % p, lambda v: v % p == 0)
 
 
 def _identity(v):
     return v
 
 
-def _shape_b_cases(ring: Ring, c, a3_options, a6_options, a4_options_zero):
-    """Iterate the sign cases of the shape-B recipe and collect residuals.
+def _element_is_zero(v):
+    return v.is_zero
 
-    ``c`` holds the sextic's 11 varying coefficients in ``VARYING_COEFFS``
-    order.  a4 follows from the x^5 coefficient when a3 != 0 and from the
-    square root of c40 otherwise; a5 from the x coefficient when a6 != 0
-    and from c20 otherwise.  a1, a2 are always determined linearly.
-    Residuals are the five remaining coefficient comparisons.  Option values
-    must be canonical; returns (label, (a1..a6), (q1..q5)) per case.
+
+def _shape_b_cases(ring: Ring, sigma, tau) -> list:
+    """The shape-B cases of translated symmetric functions, in a fixed order.
+
+    ``sigma`` and ``tau`` are canonical and translated so that alpha1 = 0.
+    With d_k = sigma_k - tau_k the cases are (a3, a4) = (s d1, -s d2) for
+    s = +1, -1 crossed with (a5, a6) = (-t d3, t d4) for t = +1, -1, named
+    B1 (+, +), B3 (+, -), B2 (-, +), B4 (-, -); when d1 = 0 they are
+    (a3, a4) = (0, d2), (0, -d2) crossed with the same (a5, a6), named
+    B0.1..B0.4, or B0.1, B0.2 when d2 = 0 too.  a1 and a2 follow from the
+    x^3 y^2 and x^2 y^2 coefficients; the residuals are the five remaining
+    coefficient comparisons.  Returns (label, (a1..a6), (q1..q5)) per case
+    with canonical values.
     """
-    _c60, c50, c40, c32, c30, c22, c20, c12, c10, c02, _c00 = c
-    red, div, is_zero, four_inv = ring.reduce, ring.div, ring.is_zero, ring.four_inv
+    _c60, _c50, c40, c32, c30, c22, c20, c12, _c10, c02, _c00 = coefficient_values(sigma, tau)
+    red, four_inv = ring.reduce, ring.four_inv
+    d1, d2, d3, d4 = (red(s - t) for s, t in zip(sigma, tau))
+    a5_a6 = ((red(-d3), d4), (d3, red(-d4)))
+    if ring.is_zero(d1):
+        a3_a4 = ((d1, d2),) if ring.is_zero(d2) else ((d1, d2), (d1, red(-d2)))
+        labels = ("B0.1", "B0.2", "B0.3", "B0.4")
+    else:
+        a3_a4 = ((d1, red(-d2)), (red(-d1), d2))
+        labels = ("B1", "B3", "B2", "B4")
     cases = []
-    seen = []
-    for label_a3, a3 in a3_options:
-        two_a3 = 2 * a3
-        if is_zero(a3):
-            if not is_zero(c50):
-                continue  # x^5 coefficient 2*a3*a4 cannot match
-            a4_opts = a4_options_zero
-        else:
-            a4_opts = [("", div(c50, two_a3))]
+    for a3, a4 in a3_a4:
+        two_a3, two_a4 = 2 * a3, 2 * a4
         a1 = red((two_a3 - c32) * four_inv)
-        for label_a4, a4 in a4_opts:
-            two_a4 = 2 * a4
-            a2 = red((two_a4 - a1 * a1 - c22) * four_inv)
-            for label_a6, a6 in a6_options:
-                if (a3, a4, a6) in seen:
-                    continue
-                seen.append((a3, a4, a6))
-                if is_zero(a6):
-                    if not is_zero(c10):
-                        continue
-                    a5_opts = ring.sqrt(c20)
-                    if not a5_opts:
-                        continue
-                else:
-                    a5_opts = [div(c10, 2 * a6)]
-                label = f"B{label_a3}{label_a4}{label_a6}"
-                for a5 in a5_opts:
-                    residuals = (
-                        red(two_a3 * a5 + a4 * a4 - c40),
-                        red(two_a3 * a6 + two_a4 * a5 - c30),
-                        red(2 * (a5 - a1 * a2) - c12),
-                        red(two_a4 * a6 + a5 * a5 - c20),
-                        red(2 * a6 - a2 * a2 - c02),
-                    )
-                    cases.append((label, (a1, a2, a3, a4, a5, a6), residuals))
+        a2 = red((two_a4 - a1 * a1 - c22) * four_inv)
+        for a5, a6 in a5_a6:
+            residuals = (
+                red(two_a3 * a5 + a4 * a4 - c40),
+                red(two_a3 * a6 + two_a4 * a5 - c30),
+                red(2 * (a5 - a1 * a2) - c12),
+                red(two_a4 * a6 + a5 * a5 - c20),
+                red(2 * a6 - a2 * a2 - c02),
+            )
+            cases.append((labels[len(cases)], (a1, a2, a3, a4, a5, a6), residuals))
     return cases
 
 
@@ -205,10 +166,6 @@ def _shifted(e, c) -> tuple:
     )
 
 
-#: shape_b_test's names for the four sign cases of (a3, a6) when a3 != 0
-_SIGN_CASES = {"B++": "B1", "B-+": "B2", "B+-": "B3", "B--": "B4"}
-
-
 def shape_b_residuals(ring: Ring, sigma, tau, shift) -> list:
     """The residual cases of :func:`shape_b_test` on any ring.
 
@@ -218,26 +175,8 @@ def shape_b_residuals(ring: Ring, sigma, tau, shift) -> list:
     residuals all vanish.  The caller guarantees distinct branch values.
     """
     red, is_zero = ring.reduce, ring.is_zero
-    sigma = tuple(map(red, _shifted(sigma, -shift)))
-    tau = tuple(map(red, _shifted(tau, -shift)))
-    d1 = red(sigma[0] - tau[0])
-    d2 = red(sigma[1] - tau[1])
-    d4 = red(sigma[3] - tau[3])
-
-    if is_zero(d1):
-        a3_options = [("0", ring.zero)]
-        if is_zero(d2):
-            a4_zero = [(".1", ring.zero)]
-        else:
-            a4_zero = [(".1", d2), (".2", red(-d2))]
-        a6_options = [(".1", d4), (".2", red(-d4))]
-    else:
-        a3_options = [("+", d1), ("-", red(-d1))]
-        a4_zero = []
-        a6_options = [("+", d4), ("-", red(-d4))]
-
-    cases = _relabel_proof_cases(_shape_b_cases(
-        ring, coefficient_values(sigma, tau), a3_options, a6_options, a4_zero))
+    cases = _shape_b_cases(ring, tuple(map(red, _shifted(sigma, -shift))),
+                           tuple(map(red, _shifted(tau, -shift))))
     for label, _coefficients, residuals in cases:
         if all(map(is_zero, residuals)):
             raise ConstructionMismatchError(
@@ -246,21 +185,17 @@ def shape_b_residuals(ring: Ring, sigma, tau, shift) -> list:
     return cases
 
 
-def _relabel_proof_cases(cases) -> list:
-    """Name the nonzero-a3 cases B1..B4 by their sign pattern (a3 = +-(s1 -
-    t1), a6 = +-(s4 - t4)), and the a3 = 0 cases B0.1, B0.2, ... in order."""
-    return [(_SIGN_CASES.get(label) or f"B0.{i + 1}", coefficients, residuals)
-            for i, (label, coefficients, residuals) in enumerate(cases)]
-
-
 def shape_b_test(rd: RamificationData) -> tuple:
     """Shape-B residual cases of branch data, after the normalising translation.
 
-    Shifting every branch value by -alpha1 zeroes sigma4 while keeping tau4
-    nonzero, so a6 = +-(sigma4 - tau4) never vanishes and a5 = c10/(2 a6) is
-    defined in all four sign cases.  Case labels: B1..B4 for the sign
-    choices of (a3, a6) when a3 != 0, and B0.xy variants when sigma1 = tau1
-    forces a3 = 0 (then a4 = +-(sigma2 - tau2) instead).
+    Shifting every branch value by -alpha1 zeroes sigma4 while keeping
+    tau4 = prod(beta_j - alpha1) nonzero, so d4 = sigma4 - tau4 != 0 on
+    distinct values (d_k = sigma_k - tau_k after the shift).  Each case is
+    read off the differences with signs s, t = +-1: a3 = s d1,
+    a4 = c50/(2 a3) = -s d2, a6 = t d4 and a5 = c10/(2 a6) = -t d3.  Case
+    labels: B1, B3, B2, B4 for (s, t) = (+, +), (+, -), (-, +), (-, -) when
+    d1 != 0, and B0.1..B0.4 when sigma1 = tau1 forces a3 = 0 (then
+    a4 = +-d2 from c40 = d2^2, and B0.1, B0.2 only when d2 = 0 as well).
 
     The shifted symmetric functions and the coefficients are computed in
     closed form (:func:`shape_b_residuals`); over a prime field they run on

@@ -223,14 +223,6 @@ class UniPoly:
             acc = acc * x + c
         return acc
 
-    def shift(self, a: FieldElement) -> "UniPoly":
-        """Substitute x -> x + a."""
-        lin = UniPoly.from_coeffs(self.field, (self.field(a), self.field.one))
-        acc = UniPoly.zero(self.field)
-        for c in reversed(self.coeffs):
-            acc = acc * lin + UniPoly.constant(c)
-        return acc
-
     def __eq__(self, other):
         if isinstance(other, UniPoly):
             return self.field == other.field and self.coeffs == other.coeffs

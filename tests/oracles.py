@@ -4,19 +4,22 @@ The library certifies irreducibility and locates singular points from
 closed forms in the branch data, and raises when a certificate fails.  The
 routines here take the general route instead: factor searches on an
 arbitrary shape-valid sextic (which also recover the factors of synthetic
-reducible ones), the Sylvester matrix, squarefree parts and the
+reducible ones), the general shape-B case search with its square roots and
+divisions, the Sylvester matrix, squarefree parts and the
 perfect-square test, and the brute-force check for off-axis singularities.
 No library path calls them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from howe.bipoly import BiPoly, HomPoly
 from howe.errors import ZeroPolynomialError
 from howe.field import Field, FieldElement
-from howe.irreducible import CaseResiduals, _shape_b_cases, _sqrt_candidates, element_ring
+from howe.irreducible import CaseResiduals
 from howe.sextic import VARYING_COEFFS, RamificationData, build_model
 from howe.singular import brute_force_singular_scan
 from howe.unipoly import UniPoly, squarefree_decomposition
@@ -102,6 +105,90 @@ def shape_a_test(rd: RamificationData) -> ShapeAWitness | None:
     return shape_a_witness(build_model(rd).f)
 
 
+def _sqrt_candidates(field: Field, value: FieldElement, seed: int = 0):
+    """Both square roots of a field element, empty when none exist.
+
+    Finite fields use the field's own square root; over Q an exact
+    perfect-square test on numerator and denominator suffices.
+    """
+    if value.is_zero:
+        return [field.zero]
+    if field.kind == "rational":
+        fr: Fraction = value.val
+        if fr < 0:
+            return []
+        num, den = fr.numerator, fr.denominator
+        rn, rd = math.isqrt(num), math.isqrt(den)
+        if rn * rn != num or rd * rd != den:
+            return []
+        r = field(Fraction(rn, rd))
+        return [r, -r]
+    pair = field.sqrt(value, seed)
+    return [] if pair is None else list(pair)
+
+
+def general_shape_b_cases(field: Field, c, a3_options, a6_options, a4_options_zero):
+    """Iterate the sign cases of the general shape-B recipe and collect residuals.
+
+    ``c`` holds the sextic's 11 varying coefficients in ``VARYING_COEFFS``
+    order.  a4 follows from the x^5 coefficient when a3 != 0 and from the
+    square root of c40 otherwise; a5 from the x coefficient when a6 != 0
+    and from c20 otherwise.  a1, a2 are always determined linearly.
+    Residuals are the five remaining coefficient comparisons.  Returns
+    (label, (a1..a6), (q1..q5)) per case.
+    """
+    _c60, c50, c40, c32, c30, c22, c20, c12, c10, c02, _c00 = c
+    four_inv = field(4).inverse()
+    cases = []
+    seen = []
+    for label_a3, a3 in a3_options:
+        two_a3 = 2 * a3
+        if a3.is_zero:
+            if not c50.is_zero:
+                continue  # x^5 coefficient 2*a3*a4 cannot match
+            a4_opts = a4_options_zero
+        else:
+            a4_opts = [("", c50 / two_a3)]
+        a1 = (two_a3 - c32) * four_inv
+        for label_a4, a4 in a4_opts:
+            two_a4 = 2 * a4
+            a2 = (two_a4 - a1 * a1 - c22) * four_inv
+            for label_a6, a6 in a6_options:
+                if (a3, a4, a6) in seen:
+                    continue
+                seen.append((a3, a4, a6))
+                if a6.is_zero:
+                    if not c10.is_zero:
+                        continue
+                    a5_opts = _sqrt_candidates(field, c20)
+                    if not a5_opts:
+                        continue
+                else:
+                    a5_opts = [c10 / (2 * a6)]
+                label = f"B{label_a3}{label_a4}{label_a6}"
+                for a5 in a5_opts:
+                    residuals = (
+                        two_a3 * a5 + a4 * a4 - c40,
+                        two_a3 * a6 + two_a4 * a5 - c30,
+                        2 * (a5 - a1 * a2) - c12,
+                        two_a4 * a6 + a5 * a5 - c20,
+                        2 * a6 - a2 * a2 - c02,
+                    )
+                    cases.append((label, (a1, a2, a3, a4, a5, a6), residuals))
+    return cases
+
+
+#: names of the four sign cases of (a3, a6) when a3 != 0, as shape_b_test gives them
+_SIGN_CASES = {"B++": "B1", "B-+": "B2", "B+-": "B3", "B--": "B4"}
+
+
+def _relabel_proof_cases(cases) -> list:
+    """Name the nonzero-a3 cases B1..B4 by their sign pattern (a3 = +-(s1 -
+    t1), a6 = +-(s4 - t4)), and the a3 = 0 cases B0.1, B0.2, ... in order."""
+    return [(_SIGN_CASES.get(label) or f"B0.{i + 1}", coefficients, residuals)
+            for i, (label, coefficients, residuals) in enumerate(cases)]
+
+
 def _witness_from_case(f: BiPoly, case: CaseResiduals) -> ShapeBWitness | None:
     field = f.field
     a1, a2, a3, a4, a5, a6 = case.coefficients
@@ -122,7 +209,7 @@ def shape_b_witness(f: BiPoly, seed: int = 0):
 
     Returns (witness or None, residuals per attempted case).  Used on
     synthetic inputs; branch data goes through ``howe.irreducible.shape_b_test``,
-    which supplies the exact square roots and the normalising translation.
+    which reads every case off the translated symmetric functions.
     """
     field = f.field
     grid = _shape_grid(f)
@@ -135,8 +222,8 @@ def shape_b_witness(f: BiPoly, seed: int = 0):
     if not a3_options or not a6_options:
         return None, ()
     c = tuple(_c(grid, int(n[1]), int(n[2]), field) for n in VARYING_COEFFS)
-    cases = [CaseResiduals(*case) for case in _shape_b_cases(
-        element_ring(field), c, a3_options, a6_options, a4_options)]
+    cases = [CaseResiduals(*case) for case in general_shape_b_cases(
+        field, c, a3_options, a6_options, a4_options)]
     for case in cases:
         if all(r.is_zero for r in case.residuals):
             witness = _witness_from_case(f, case)

@@ -172,26 +172,6 @@ class TestEvalAndShift:
             x, y = project_point(p)
             assert model.f.eval(x, y).is_zero
 
-    def test_shift_by_zero(self, F31):
-        rng = random.Random(9)
-        f = rand_bipoly(F31, rng)
-        assert f.shift_x(F31.zero) == f
-
-    def test_shift_round_trip(self, F31):
-        rng = random.Random(10)
-        for _ in range(15):
-            f = rand_bipoly(F31, rng)
-            a = F31(rng.randrange(31))
-            assert f.shift_x(a).shift_x(-a) == f
-
-    def test_shift_agrees_with_evaluation(self, F31):
-        rng = random.Random(11)
-        f = rand_bipoly(F31, rng)
-        a = F31(5)
-        for _ in range(10):
-            x, y = F31(rng.randrange(31)), F31(rng.randrange(31))
-            assert f.shift_x(a).eval(x, y) == f.eval(x + a, y)
-
 
 def euler_by_partials(F):
     """The Euler relation by building the three partials: the oracle.

@@ -78,6 +78,15 @@ class TestBuild:
         payload = json.loads(out)
         assert json.loads(json.dumps(payload)) == payload
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_point_list_with_negative_first_value(self, capsys, json_flag):
+        # argparse alone reads "-1,0,2,20" as an option and exits 2
+        argv = ["build", "--field", "p=31", *json_flag]
+        joined = run(capsys, *argv, "--alpha=-1,0,2,20", "--beta=-3,16,7,27")
+        spaced = run(capsys, *argv, "--alpha", "-1,0,2,20", "--beta", "-3,16,7,27")
+        assert joined[0] == 0
+        assert spaced == joined
+
     def test_duplicate_points_exit_3(self, capsys):
         code, _, err = run(
             capsys, "build", "--field", "p=31",
@@ -345,6 +354,31 @@ class TestExitCodes:
         assert out == ""
         assert f"internal error: {error.__name__}: injected" in err
         assert err.splitlines()[-1].startswith("replay field=p=31 alpha=0,1,-1,20")
+
+    @pytest.mark.parametrize("argv,needle", [
+        (["build", "--field", "p=31", "--beta", "1,2,3,4"], "required: --alpha"),
+        (["build", "--field", "p=31", "--alpha", "--beta", "1,2,3,4"],
+         "--alpha: expected one argument"),
+        (["sample", "--field", "p=31", "--count", "3", "--bogus"], "unrecognized"),
+        (["frobnicate"], "invalid choice"),
+        ([], "required"),
+    ])
+    def test_usage_error_exit_3(self, capsys, argv, needle):
+        # argparse's own usage errors exit 2, which means a field error here
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == cli.EXIT_INPUT == 3
+        assert captured.out == ""
+        assert captured.err.startswith("usage: howe")
+        assert needle in captured.err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["build", "--help"]])
+    def test_help_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: howe")
 
     def test_negative_count_exit_3(self, capsys):
         code, out, err = run(capsys, "sample", "--field", "p=31", "--count", "-5")

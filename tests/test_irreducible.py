@@ -22,20 +22,20 @@ from howe import (
     shape_b_test,
     validate,
 )
-from howe.irreducible import (
-    _relabel_proof_cases,
-    _shape_b_cases,
-    _sqrt_candidates,
-    element_ring,
-    residue_ring,
-)
 from howe.sextic import VARYING_COEFFS
 from howe.reference import REFERENCE_EXAMPLES, reference_data
 from howe.sampling import sample_types
 from howe.unipoly import UniPoly
 
 from conftest import random_branch_data
-from oracles import _shape_grid, shape_a_test, shape_a_witness, shape_b_witness
+from oracles import (
+    _relabel_proof_cases,
+    _shape_grid,
+    general_shape_b_cases,
+    shape_a_test,
+    shape_a_witness,
+    shape_b_witness,
+)
 
 
 def even_quadratic(field, coeffs):
@@ -145,35 +145,6 @@ class TestShapeBWitness:
             hits += 1
         assert hits >= 20
 
-    def test_recipe_on_residues_matches_elements(self, F31):
-        # the one copy of the case recipe on both rings, through the a3 = 0
-        # and a6 = 0 branches that take square roots (the branch-data lane
-        # never reaches them)
-        rng = random.Random(10)
-        checked = 0
-        for _ in range(40):
-            a = [rng.randrange(31) for _ in range(6)]
-            a[2] = a[5] = 0
-            H1, H2 = shape_b_pair(F31, a)
-            f = H1 * H2
-            if f.y_slice(0).is_zero:
-                continue
-            grid = _shape_grid(f)
-            c = [grid.get((int(n[1]), int(n[2])), F31.zero) for n in VARYING_COEFFS]
-            a4_roots = _sqrt_candidates(F31, grid.get((4, 0), F31.zero))
-            options = ([("0", F31.zero)], [(".1", F31.zero)],
-                       [(f"'{i}", r) for i, r in enumerate(a4_roots)])
-            on_elements = _shape_b_cases(element_ring(F31), c, *options)
-            on_residues = _shape_b_cases(
-                residue_ring(31), [v.val for v in c],
-                *([(label, v.val) for label, v in opt] for opt in options))
-            assert on_residues == [
-                (label, tuple(v.val for v in co), tuple(v.val for v in res))
-                for label, co, res in on_elements
-            ]
-            checked += any(all(r.is_zero for r in res) for _, _, res in on_elements)
-        assert checked >= 20
-
     def test_translation_invariance(self, F31):
         rng = random.Random(7)
         for _ in range(25):
@@ -242,9 +213,10 @@ def shape_b_cases_from_model(rd):
     """The shape-B cases by polynomial arithmetic: translate the branch data
     so that alpha1 = 0, build the sextic as a BiPoly and read its grid.
 
-    Independent of the closed-form Taylor shift and coefficients that
-    :func:`shape_b_test` uses, and of its prime-field integer lane: the case
-    recipe runs here on field elements.  Only the recipe is shared.
+    Independent of the closed-form Taylor shift, coefficients and case plan
+    that :func:`shape_b_test` uses, and of its prime-field integer lane: the
+    general case recipe (square roots, divisions, the zero branches) runs
+    here on field elements, and no code is shared with the library's plan.
     """
     rd0 = rd.translated(-rd.alphas[0])
     f0 = build_model(rd0).f
@@ -262,7 +234,7 @@ def shape_b_cases_from_model(rd):
         a6_options = [("+", d4), ("-", -d4)]
     grid = _shape_grid(f0)
     c = tuple(grid.get((int(n[1]), int(n[2])), field.zero) for n in VARYING_COEFFS)
-    cases = _shape_b_cases(element_ring(field), c, a3_options, a6_options, a4_zero)
+    cases = general_shape_b_cases(field, c, a3_options, a6_options, a4_zero)
     return [irreducible.CaseResiduals(*case) for case in _relabel_proof_cases(cases)]
 
 
@@ -362,10 +334,12 @@ class TestClosedFormAgainstModel:
         # reported as a broken invariant, without building a model, on the
         # prime-field integer lane and on field elements
         calls = count_bipolys(monkeypatch)
+        plan = irreducible._shape_b_cases
 
-        def with_vanishing_case(ring, c, *options):
-            cases = _shape_b_cases(ring, c, *options)
-            return cases + [("B", cases[0][1], (ring.zero,) * 5)]
+        def with_vanishing_case(ring, sigma, tau):
+            cases = plan(ring, sigma, tau)
+            zero = ring.reduce(sigma[0] - sigma[0])
+            return cases + [("B", cases[0][1], (zero,) * 5)]
 
         monkeypatch.setattr(irreducible, "_shape_b_cases", with_vanishing_case)
         for name in ("F31", "Q_H50"):

@@ -432,18 +432,6 @@ def test_division_identity(F31):
         assert r.is_zero or r.degree < g.degree
 
 
-@given(data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_shift_is_ring_homomorphism(data):
-    F = prime_field(31)
-    coeffs = data.draw(st.lists(st.integers(0, 30), min_size=1, max_size=6))
-    a = F(data.draw(st.integers(0, 30)))
-    point = F(data.draw(st.integers(0, 30)))
-    f = UniPoly.from_coeffs(F, coeffs)
-    assert f.shift(a)(point) == f(point + a)
-    assert f.shift(a).shift(-a) == f
-
-
 def test_factor_rational_fractional_content(QQ):
     # coefficients with denominators: content carries the scaling
     f = UniPoly.from_coeffs(QQ, [Fraction(1, 2), Fraction(1, 2)])
