@@ -17,8 +17,6 @@ from .errors import (
     InfinityNotSupportedError,
     MixedFieldsError,
     MultiplicityExceedsTwoError,
-    NormalizationImpossibleError,
-    NotOnCurveError,
     NotSingularError,
     UnsupportedDegreeError,
     UnsupportedFieldError,
@@ -45,23 +43,14 @@ from .unipoly import (
     roots,
     squarefree_decomposition,
 )
-from .bipoly import BiPoly, HomPoly, dehomogenize, homogenize
+from .bipoly import BiPoly, HomPoly, homogenize
 from .sextic import (
     COEFF_NAMES,
-    FiberPoint,
-    LiftResult,
-    MobiusMap,
-    NormalizationResult,
     RamificationData,
     SexticCoefficients,
     SexticModel,
     assemble_sextic,
     build_model,
-    genus_of_howe,
-    lift_point,
-    mobius_normalize,
-    project_point,
-    random_fiber_points,
     sextic_coeffs,
     sextic_from_quartics,
     validate,

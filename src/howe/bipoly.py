@@ -265,22 +265,6 @@ def homogenize(f: BiPoly, total_degree: int) -> HomPoly:
     return HomPoly(f.field, terms, total_degree, _trusted=True)
 
 
-def dehomogenize(F: HomPoly, var: str = "z") -> BiPoly:
-    """Set one variable to 1; the two remaining variables keep their order."""
-    idx = "xyz".index(var)
-    keep = [k for k in range(3) if k != idx]
-    terms: dict = {}
-    for exp, c in F.terms.items():
-        key = (exp[keep[0]], exp[keep[1]])
-        s = terms.get(key)
-        s = c if s is None else s + c
-        if s.is_zero:
-            terms.pop(key, None)
-        else:
-            terms[key] = s
-    return BiPoly(F.field, terms, _trusted=True)
-
-
 def _powers(x: FieldElement, n: int):
     out = [x.field.one]
     for _ in range(max(n, 0)):

@@ -74,6 +74,31 @@ def parse_field(text: str) -> Field:
 _INFINITY_TOKENS = {"inf", "infinity", "oo", "+inf", "-inf"}
 
 
+def _digit_bound_error(what: str, part: str) -> InputArgumentError:
+    return InputArgumentError(f"{what} value {part[:20]}...: numerator and denominator"
+                              f" may have at most {MAX_RATIONAL_DIGITS} digits over Q")
+
+
+def _parse_rational(what: str, part: str) -> Fraction:
+    """``Fraction(part)``, with a decimal exponent too large for the digit
+    bound rejected before conversion.
+
+    ``Fraction`` builds 10^|e|, a number of |e| + 1 digits, before the
+    bound can be checked.  A token with |e| > D + L, for D = ``MAX_RATIONAL_DIGITS`` and L the length
+    of the text before the e, fails the bound unless its value is 0: that
+    value is M * 10^(e - k) for an integer M of at most L digits and k <= L
+    decimals, so in lowest terms the numerator (e > 0) or the denominator
+    (e < 0) of a nonzero value exceeds 10^D.
+    """
+    mantissa, e, exponent = part.lower().partition("e")
+    if e and abs(int(exponent)) > MAX_RATIONAL_DIGITS + len(mantissa):
+        value = Fraction(mantissa + "e0")  # checks the syntax in bounded time
+        if value:
+            raise _digit_bound_error(what, part)
+        return value
+    return Fraction(part)
+
+
 def parse_points(field: Field, text: str, what: str):
     """Comma-separated field elements: integers, or n/d fractions over Q.
 
@@ -86,7 +111,9 @@ def parse_points(field: Field, text: str, what: str):
     divides P^5 and its numerator is below 54 * 12^5 * 10^(40 D) (54 sums
     the absolute coefficients of -a disc): at most 40 D + 8 = 4008 digits.
     The other printed values are smaller; the next largest, -8 phi1(xi) at
-    a rational root of h1, has at most 36 D + 13 digits.
+    a rational root of h1, has at most 36 D + 13 digits.  A decimal exponent
+    too large for the bound is rejected before conversion, so every token
+    parses in bounded time.
     """
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
@@ -95,19 +122,17 @@ def parse_points(field: Field, text: str, what: str):
     for part in parts:
         if part.lower() in _INFINITY_TOKENS:
             raise InfinityNotSupportedError(
-                f"{what} value {part!r}: branch values must be finite; apply a"
-                " Moebius normalisation first"
+                f"{what} value {part!r}: branch values must be finite"
             )
         try:
-            value = Fraction(part) if field.kind == "rational" else int(part)
+            value = _parse_rational(what, part) if field.kind == "rational" else int(part)
         except ZeroDivisionError:
             raise InputArgumentError(f"{what} value {part!r} has a zero denominator") from None
         except ValueError as exc:
             raise InputArgumentError(f"{what} value {part!r}: {exc}") from None
         if field.kind == "rational" and max(
                 abs(value.numerator), value.denominator) >= 10**MAX_RATIONAL_DIGITS:
-            raise InputArgumentError(f"{what} value {part[:20]}...: numerator and denominator"
-                                     f" may have at most {MAX_RATIONAL_DIGITS} digits over Q")
+            raise _digit_bound_error(what, part)
         out.append(field(value))
     return out
 
@@ -208,7 +233,13 @@ def cmd_scan(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage errors on exit 3, not 2, which means a field error
-    here; the message still goes to stderr."""
+    here; the message still goes to stderr.  Options must be spelt in full:
+    an abbreviation such as ``--alph`` is an unrecognized argument, because
+    ``_join_point_lists`` attaches a point list only to ``--alpha`` and
+    ``--beta``.  Subparsers are built from this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -42,15 +42,7 @@ class DuplicateRamificationPointError(HoweError, ValueError):
 
 
 class InfinityNotSupportedError(HoweError, ValueError):
-    """Branch values must be finite; normalise away from infinity first."""
-
-
-class NormalizationImpossibleError(HoweError):
-    """No ordered triple yields a Moebius map keeping all eight points finite."""
-
-
-class NotOnCurveError(HoweError, ValueError):
-    """The given (x, y) does not satisfy the sextic equation."""
+    """Branch values must be finite."""
 
 
 class NotSingularError(HoweError):

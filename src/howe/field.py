@@ -2,9 +2,8 @@
 
 Elements are immutable and canonical: an integer in [0, p) for prime fields,
 a fixed-length coefficient tuple for extensions, a reduced ``Fraction`` for
-the rationals.  Equality is representational equality.  Every randomised
-procedure (square roots, irreducible modulus search) takes an explicit seed
-so results are reproducible.
+the rationals.  Equality is representational equality.  The irreducible
+modulus search takes an explicit seed so results are reproducible.
 """
 
 from __future__ import annotations
@@ -194,57 +193,8 @@ class Field:
     def one(self) -> FieldElement:
         return self(1)
 
-    def sqrt(self, a: FieldElement, seed: int = 0):
-        """Both square roots of ``a``, or ``None`` if ``a`` is a non-residue.
-
-        Returns ``(r, -r)`` ordered by :meth:`FieldElement.sort_key` (and the
-        single-element tuple ``(0,)`` for ``a = 0``).  Only defined over
-        finite fields; the nonresidue search is driven by ``seed``.
-        """
-        raise UnsupportedFieldError(f"square roots are not supported over {self}")
-
     def random_element(self, rng: random.Random) -> FieldElement:
         raise UnsupportedFieldError(f"uniform sampling undefined over {self}")
-
-
-def _tonelli_shanks(field: Field, a: FieldElement, order: int, seed: int):
-    """Square root in a finite field of odd order via Tonelli-Shanks."""
-    if a.is_zero:
-        return (field.zero,)
-    half = (order - 1) // 2
-    if a**half != field.one:
-        return None
-    s, e = order - 1, 0
-    while s % 2 == 0:
-        s //= 2
-        e += 1
-    if e == 1:
-        r = a ** ((order + 1) // 4)
-    else:
-        rng = random.Random(seed)
-        while True:
-            n = field.random_element(rng)
-            if not n.is_zero and n**half != field.one:
-                break
-        x = a ** ((s + 1) // 2)
-        b = a**s
-        g = n**s
-        r_exp = e
-        while True:
-            t, m = b, 0
-            while t != field.one:
-                t = t * t
-                m += 1
-            if m == 0:
-                r = x
-                break
-            gs = g ** (1 << (r_exp - m - 1))
-            g = gs * gs
-            x = x * gs
-            b = b * g
-            r_exp = m
-    pair = sorted((r, -r), key=FieldElement.sort_key)
-    return tuple(pair)
 
 
 class PrimeField(Field):
@@ -313,11 +263,6 @@ class PrimeField(Field):
 
     def _render(self, v):
         return str(v)
-
-    def sqrt(self, a: FieldElement, seed: int = 0):
-        if a.field != self:
-            raise MixedFieldsError("element does not belong to this field")
-        return _tonelli_shanks(self, a, self.p, seed)
 
     def random_element(self, rng: random.Random) -> FieldElement:
         return FieldElement(self, rng.randrange(self.p))
@@ -467,14 +412,6 @@ class ExtensionField(Field):
         """The class of t, a root of the modulus."""
         return FieldElement(self, self._norm([0, 1]))
 
-    def in_prime_subfield(self, a: FieldElement) -> bool:
-        return all(c == 0 for c in a.val[1:])
-
-    def to_prime_subfield(self, a: FieldElement) -> FieldElement:
-        if not self.in_prime_subfield(a):
-            raise ValueError(f"{a!r} is not in the prime subfield")
-        return FieldElement(self.base, a.val[0])
-
     def _add(self, a, b):
         p = self.p
         return FieldElement(self, tuple((x + y) % p for x, y in zip(a, b)))
@@ -515,11 +452,6 @@ class ExtensionField(Field):
                 var = "t" if i == 1 else f"t^{i}"
                 terms.append(var if c == 1 else f"{c}*{var}")
         return " + ".join(terms) if terms else "0"
-
-    def sqrt(self, a: FieldElement, seed: int = 0):
-        if a.field != self:
-            raise MixedFieldsError("element does not belong to this field")
-        return _tonelli_shanks(self, a, self.order, seed)
 
     def random_element(self, rng: random.Random) -> FieldElement:
         return FieldElement(self, tuple(rng.randrange(self.p) for _ in range(self.k)))

@@ -23,20 +23,15 @@ rather than computed.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from itertools import permutations
 
 from .bipoly import BiPoly, HomPoly, homogenize
 from .errors import (
     ConstructionMismatchError,
     DuplicateRamificationPointError,
     MixedFieldsError,
-    NormalizationImpossibleError,
-    NotOnCurveError,
-    UnsupportedFieldError,
 )
-from .field import ExtensionField, Field, FieldElement, build_extension
+from .field import Field, FieldElement
 from .unipoly import UniPoly
 
 #: order in which the 13 sextic coefficients are reported
@@ -61,15 +56,6 @@ class RamificationData:
     @property
     def field(self) -> Field:
         return self.alphas[0].field
-
-    def swapped(self) -> "RamificationData":
-        """The same configuration with the two covers exchanged."""
-        return RamificationData(self.betas, self.alphas, self.tau, self.sigma,
-                                self.phi2, self.phi1)
-
-    def translated(self, c: FieldElement) -> "RamificationData":
-        """All eight branch values shifted by c."""
-        return validate([a + c for a in self.alphas], [b + c for b in self.betas])
 
     def __repr__(self):
         a = ", ".join(str(v) for v in self.alphas)
@@ -271,222 +257,3 @@ def build_model(rd: RamificationData) -> SexticModel:
         raise ConstructionMismatchError("degenerate sextic: f(x, 0) = 0")
     return SexticModel(rd, coeffs, f, homogenize(f, 6))
 
-
-def genus_of_howe(g1: int, g2: int, r: int) -> int:
-    """Genus of the glued curve: 2(g1 + g2) + 1 - r for r shared branch points."""
-    return 2 * (g1 + g2) + 1 - r
-
-
-# -- Moebius normalization ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MobiusMap:
-    """t -> (a t + b) / (c t + d) with nonzero determinant."""
-
-    a: FieldElement
-    b: FieldElement
-    c: FieldElement
-    d: FieldElement
-
-    def determinant(self) -> FieldElement:
-        return self.a * self.d - self.b * self.c
-
-    def apply(self, t: FieldElement) -> FieldElement:
-        """Image of a finite point; raises if t is the pole."""
-        den = self.c * t + self.d
-        if den.is_zero:
-            raise ZeroDivisionError(f"{t} is the pole of {self}")
-        return (self.a * t + self.b) / den
-
-    def pole(self):
-        """The finite preimage of infinity, or None when the map is affine."""
-        if self.c.is_zero:
-            return None
-        return -self.d / self.c
-
-    def inverse(self) -> "MobiusMap":
-        return MobiusMap(self.d, -self.b, -self.c, self.a)
-
-    def compose(self, other: "MobiusMap") -> "MobiusMap":
-        """self after other."""
-        return MobiusMap(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def __repr__(self):
-        return f"({self.a}*t + {self.b}) / ({self.c}*t + {self.d})"
-
-
-@dataclass(frozen=True)
-class NormalizationResult:
-    data: RamificationData
-    transform: MobiusMap
-    triple: tuple  # indices into (alphas + betas) of the points sent to 0, 1, -1
-
-
-def _map_to_zero_one_infinity(p1, p2, p3) -> MobiusMap:
-    # t -> (t - p1)(p2 - p3) / ((t - p3)(p2 - p1))
-    num = p2 - p3
-    den = p2 - p1
-    return MobiusMap(num, -p1 * num, den, -p3 * den)
-
-
-def mobius_normalize(rd: RamificationData) -> NormalizationResult:
-    """Send three of the eight branch values to 0, 1, -1.
-
-    Tries ordered triples of indices in lexicographic order starting with
-    (alpha1, alpha2, alpha3); a triple is rejected when the induced map has
-    its pole at one of the remaining five points, since every image must
-    stay finite.  Reports the triple that was used.
-    """
-    field = rd.field
-    points = rd.alphas + rd.betas
-    # fixed map sending (0, 1, -1) to (0, 1, infinity): t -> 2t / (t + 1)
-    to_std = MobiusMap(field(2), field.zero, field.one, field.one)
-    back = to_std.inverse()
-    for triple in permutations(range(8), 3):
-        p1, p2, p3 = (points[i] for i in triple)
-        m = back.compose(_map_to_zero_one_infinity(p1, p2, p3))
-        if m.determinant().is_zero:
-            continue
-        pole = m.pole()
-        if pole is not None and any(pole == q for q in points):
-            continue
-        new_alphas = [m.apply(a) for a in rd.alphas]
-        new_betas = [m.apply(b) for b in rd.betas]
-        return NormalizationResult(validate(new_alphas, new_betas), m, triple)
-    raise NormalizationImpossibleError(
-        "no ordered triple keeps all eight branch values finite"
-    )
-
-
-# -- the birational correspondence with the glued double covers --------------
-
-
-@dataclass(frozen=True)
-class FiberPoint:
-    """A point (x, y1, y2) with y1^2 = phi1(x) and y2^2 = phi2(x)."""
-
-    x: FieldElement
-    y1: FieldElement
-    y2: FieldElement
-
-
-@dataclass(frozen=True)
-class LiftResult:
-    lifts: tuple
-    extension_degree: int
-    indeterminate: bool
-
-    @property
-    def point(self) -> FiberPoint:
-        if self.indeterminate:
-            raise ValueError("two candidate lifts; inspect .lifts")
-        return self.lifts[0]
-
-
-def project_point(p: FiberPoint):
-    """The forward map: (x, y1, y2) -> (x, y1 + y2)."""
-    return p.x, p.y1 + p.y2
-
-
-def lift_point(model: SexticModel, x: FieldElement, y: FieldElement,
-               rng_seed: int = 0) -> LiftResult:
-    """Invert the projection at (x, y) on the sextic.
-
-    Writes y = e1*sqrt(phi1(x)) + e2*sqrt(phi2(x)) for signs e1, e2; the
-    roots live in the base field or its quadratic extension, and the sign
-    pair is unique unless y = 0, where the two opposite pairs both project
-    to y and both candidates are returned (indeterminate locus of the map).
-    """
-    field = model.field
-    if field.kind == "rational":
-        raise UnsupportedFieldError("point lifting needs square roots; finite fields only")
-    if x.field != y.field:
-        raise MixedFieldsError("x and y must come from one field")
-    work = x.field
-    if work != field:
-        if not (
-            isinstance(work, ExtensionField)
-            and field.kind == "prime"
-            and work.p == field.p
-            and work.k == 2
-        ):
-            raise UnsupportedFieldError(
-                "points must lie in the base field or its quadratic extension"
-            )
-    if not model.f.eval(x, y).is_zero:
-        raise NotOnCurveError(f"f({x}, {y}) != 0")
-
-    v1 = model.rd.phi1(x)
-    v2 = model.rd.phi2(x)
-    s1 = work.sqrt(v1, rng_seed)
-    s2 = work.sqrt(v2, rng_seed)
-    if s1 is None or s2 is None:
-        if work != field:
-            raise UnsupportedFieldError(
-                "square roots fall outside the quadratic extension"
-            )
-        # move to F_{p^2}, where every base-field element is a square
-        ext = build_extension(field.p, 2, rng_seed)
-        return lift_point(model, ext.embed(x), ext.embed(y), rng_seed)
-
-    candidates = []
-    for a in s1:
-        for b in s2:
-            if a + b == y and (a, b) not in candidates:
-                candidates.append((a, b))
-    if not candidates:
-        raise NotOnCurveError("no sign assignment matches y")  # unreachable if f = 0
-    degree = 1
-    if isinstance(work, ExtensionField):
-        coords = [x, y] + [c for pair in candidates for c in pair]
-        if all(work.in_prime_subfield(c) for c in coords):
-            base = work.base
-            candidates = [
-                (work.to_prime_subfield(a), work.to_prime_subfield(b))
-                for a, b in candidates
-            ]
-            x = work.to_prime_subfield(x)
-        else:
-            degree = 2
-    lifts = tuple(FiberPoint(x, a, b) for a, b in candidates)
-    return LiftResult(lifts, degree, len(lifts) > 1)
-
-
-def random_fiber_points(model: SexticModel, count: int, rng_seed: int = 0):
-    """Sample points of the glued cover, allowing quadratic-extension fibers.
-
-    Draws x uniformly, takes square roots of phi1(x) and phi2(x) in the base
-    field when possible and in F_{p^2} otherwise, and picks the two signs at
-    random.  Used by round-trip tests of the projection and its inverse.
-    """
-    field = model.field
-    if field.kind != "prime":
-        raise UnsupportedFieldError("fiber sampling is implemented for prime fields")
-    rng = random.Random(rng_seed)
-    ext = None
-    out = []
-    while len(out) < count:
-        x = field.random_element(rng)
-        v1, v2 = model.rd.phi1(x), model.rd.phi2(x)
-        s1 = field.sqrt(v1, rng_seed)
-        s2 = field.sqrt(v2, rng_seed)
-        if s1 is None or s2 is None:
-            if ext is None:
-                ext = build_extension(field.p, 2, rng_seed)
-            xe = ext.embed(x)
-            s1 = ext.sqrt(ext.embed(v1), rng_seed)
-            s2 = ext.sqrt(ext.embed(v2), rng_seed)
-            y1 = s1[rng.randrange(len(s1))]
-            y2 = s2[rng.randrange(len(s2))]
-            out.append(FiberPoint(xe, y1, y2))
-        else:
-            y1 = s1[rng.randrange(len(s1))]
-            y2 = s2[rng.randrange(len(s2))]
-            out.append(FiberPoint(x, y1, y2))
-    return out

@@ -29,7 +29,6 @@ from .field import (
     _pmod,
     _pmul,
     is_prime,
-    prime_field,
 )
 
 
@@ -516,13 +515,6 @@ class Root:
     value: FieldElement
     multiplicity: int
     extension_degree: int
-
-    def minimal_poly(self):
-        """Minimal polynomial over the base prime field (None for degree 1)."""
-        if self.extension_degree == 1:
-            return None
-        fld = self.value.field
-        return UniPoly.from_coeffs(prime_field(fld.p), fld.modulus)
 
 
 def roots(f: UniPoly, up_to_degree: int, rng_seed: int = 0):

@@ -1,4 +1,5 @@
-"""General searches that the library's certificates are tested against.
+"""General routes that the library's certificates and construction are
+tested against.
 
 The library certifies irreducibility and locates singular points from
 closed forms in the branch data, and raises when a certificate fails.  The
@@ -7,20 +8,30 @@ arbitrary shape-valid sextic (which also recover the factors of synthetic
 reducible ones), the general shape-B case search with its square roots and
 divisions, the Sylvester matrix, squarefree parts and the
 perfect-square test, and the brute-force check for off-axis singularities.
+They also hold Tonelli-Shanks square roots in finite fields and the
+birational correspondence between the sextic and the fiber product of the
+two double covers: the projection (x, y1, y2) -> (x, y1 + y2), its inverse
+lift, and a sampler of fiber points for the round trip.
 No library path calls them.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from howe.bipoly import BiPoly, HomPoly
-from howe.errors import ZeroPolynomialError
-from howe.field import Field, FieldElement
+from howe.errors import (
+    HoweError,
+    MixedFieldsError,
+    UnsupportedFieldError,
+    ZeroPolynomialError,
+)
+from howe.field import ExtensionField, Field, FieldElement, build_extension
 from howe.irreducible import CaseResiduals
-from howe.sextic import VARYING_COEFFS, RamificationData, build_model
+from howe.sextic import VARYING_COEFFS, RamificationData, SexticModel, build_model
 from howe.singular import brute_force_singular_scan
 from howe.unipoly import UniPoly, squarefree_decomposition
 
@@ -108,7 +119,7 @@ def shape_a_test(rd: RamificationData) -> ShapeAWitness | None:
 def _sqrt_candidates(field: Field, value: FieldElement, seed: int = 0):
     """Both square roots of a field element, empty when none exist.
 
-    Finite fields use the field's own square root; over Q an exact
+    Finite fields use :func:`sqrt`; over Q an exact
     perfect-square test on numerator and denominator suffices.
     """
     if value.is_zero:
@@ -123,7 +134,7 @@ def _sqrt_candidates(field: Field, value: FieldElement, seed: int = 0):
             return []
         r = field(Fraction(rn, rd))
         return [r, -r]
-    pair = field.sqrt(value, seed)
+    pair = sqrt(field, value, seed)
     return [] if pair is None else list(pair)
 
 
@@ -295,3 +306,199 @@ def no_offaxis_singularities_check(F: HomPoly, budget: int = 10**6) -> bool:
         elif (x, y, z) not in ((zero, one, zero), (one, zero, zero)):
             return False
     return True
+
+
+# -- square roots in finite fields -------------------------------------------
+
+
+def sqrt(field: Field, a: FieldElement, seed: int = 0):
+    """Both square roots of ``a``, or ``None`` if ``a`` is a non-residue.
+
+    Returns ``(r, -r)`` ordered by :meth:`FieldElement.sort_key` (and the
+    single-element tuple ``(0,)`` for ``a = 0``).  Tonelli-Shanks, defined
+    over finite fields only; the nonresidue search is driven by ``seed``.
+    """
+    if field.kind == "rational":
+        raise UnsupportedFieldError(f"square roots are not supported over {field}")
+    if a.field != field:
+        raise MixedFieldsError("element does not belong to this field")
+    if a.is_zero:
+        return (field.zero,)
+    order = field.order
+    half = (order - 1) // 2
+    if a**half != field.one:
+        return None
+    s, e = order - 1, 0
+    while s % 2 == 0:
+        s //= 2
+        e += 1
+    if e == 1:
+        r = a ** ((order + 1) // 4)
+    else:
+        rng = random.Random(seed)
+        while True:
+            n = field.random_element(rng)
+            if not n.is_zero and n**half != field.one:
+                break
+        x = a ** ((s + 1) // 2)
+        b = a**s
+        g = n**s
+        r_exp = e
+        while True:
+            t, m = b, 0
+            while t != field.one:
+                t = t * t
+                m += 1
+            if m == 0:
+                r = x
+                break
+            gs = g ** (1 << (r_exp - m - 1))
+            g = gs * gs
+            x = x * gs
+            b = b * g
+            r_exp = m
+    pair = sorted((r, -r), key=FieldElement.sort_key)
+    return tuple(pair)
+
+
+def in_prime_subfield(a: FieldElement) -> bool:
+    """Whether an element of an extension field lies in its prime subfield."""
+    return all(c == 0 for c in a.val[1:])
+
+
+def to_prime_subfield(a: FieldElement) -> FieldElement:
+    """The prime-subfield element an extension-field element equals."""
+    if not in_prime_subfield(a):
+        raise ValueError(f"{a!r} is not in the prime subfield")
+    return FieldElement(a.field.base, a.val[0])
+
+
+# -- the birational correspondence with the glued double covers --------------
+
+
+class NotOnCurveError(HoweError, ValueError):
+    """The given (x, y) does not satisfy the sextic equation."""
+
+
+@dataclass(frozen=True)
+class FiberPoint:
+    """A point (x, y1, y2) with y1^2 = phi1(x) and y2^2 = phi2(x)."""
+
+    x: FieldElement
+    y1: FieldElement
+    y2: FieldElement
+
+
+@dataclass(frozen=True)
+class LiftResult:
+    lifts: tuple
+    extension_degree: int
+    indeterminate: bool
+
+    @property
+    def point(self) -> FiberPoint:
+        if self.indeterminate:
+            raise ValueError("two candidate lifts; inspect .lifts")
+        return self.lifts[0]
+
+
+def project_point(p: FiberPoint):
+    """The forward map: (x, y1, y2) -> (x, y1 + y2)."""
+    return p.x, p.y1 + p.y2
+
+
+def lift_point(model: SexticModel, x: FieldElement, y: FieldElement,
+               rng_seed: int = 0) -> LiftResult:
+    """Invert the projection at (x, y) on the sextic.
+
+    Writes y = e1*sqrt(phi1(x)) + e2*sqrt(phi2(x)) for signs e1, e2; the
+    roots live in the base field or its quadratic extension, and the sign
+    pair is unique unless y = 0, where the two opposite pairs both project
+    to y and both candidates are returned (indeterminate locus of the map).
+    """
+    field = model.field
+    if field.kind == "rational":
+        raise UnsupportedFieldError("point lifting needs square roots; finite fields only")
+    if x.field != y.field:
+        raise MixedFieldsError("x and y must come from one field")
+    work = x.field
+    if work != field:
+        if not (
+            isinstance(work, ExtensionField)
+            and field.kind == "prime"
+            and work.p == field.p
+            and work.k == 2
+        ):
+            raise UnsupportedFieldError(
+                "points must lie in the base field or its quadratic extension"
+            )
+    if not model.f.eval(x, y).is_zero:
+        raise NotOnCurveError(f"f({x}, {y}) != 0")
+
+    v1 = model.rd.phi1(x)
+    v2 = model.rd.phi2(x)
+    s1 = sqrt(work, v1, rng_seed)
+    s2 = sqrt(work, v2, rng_seed)
+    if s1 is None or s2 is None:
+        if work != field:
+            raise UnsupportedFieldError(
+                "square roots fall outside the quadratic extension"
+            )
+        # move to F_{p^2}, where every base-field element is a square
+        ext = build_extension(field.p, 2, rng_seed)
+        return lift_point(model, ext.embed(x), ext.embed(y), rng_seed)
+
+    candidates = []
+    for a in s1:
+        for b in s2:
+            if a + b == y and (a, b) not in candidates:
+                candidates.append((a, b))
+    if not candidates:
+        raise NotOnCurveError("no sign assignment matches y")  # unreachable if f = 0
+    degree = 1
+    if isinstance(work, ExtensionField):
+        coords = [x, y] + [c for pair in candidates for c in pair]
+        if all(in_prime_subfield(c) for c in coords):
+            candidates = [
+                (to_prime_subfield(a), to_prime_subfield(b))
+                for a, b in candidates
+            ]
+            x = to_prime_subfield(x)
+        else:
+            degree = 2
+    lifts = tuple(FiberPoint(x, a, b) for a, b in candidates)
+    return LiftResult(lifts, degree, len(lifts) > 1)
+
+
+def random_fiber_points(model: SexticModel, count: int, rng_seed: int = 0):
+    """Sample points of the glued cover, allowing quadratic-extension fibers.
+
+    Draws x uniformly, takes square roots of phi1(x) and phi2(x) in the base
+    field when possible and in F_{p^2} otherwise, and picks the two signs at
+    random.  Used by round-trip tests of the projection and its inverse.
+    """
+    field = model.field
+    if field.kind != "prime":
+        raise UnsupportedFieldError("fiber sampling is implemented for prime fields")
+    rng = random.Random(rng_seed)
+    ext = None
+    out = []
+    while len(out) < count:
+        x = field.random_element(rng)
+        v1, v2 = model.rd.phi1(x), model.rd.phi2(x)
+        s1 = sqrt(field, v1, rng_seed)
+        s2 = sqrt(field, v2, rng_seed)
+        if s1 is None or s2 is None:
+            if ext is None:
+                ext = build_extension(field.p, 2, rng_seed)
+            xe = ext.embed(x)
+            s1 = sqrt(ext, ext.embed(v1), rng_seed)
+            s2 = sqrt(ext, ext.embed(v2), rng_seed)
+            y1 = s1[rng.randrange(len(s1))]
+            y2 = s2[rng.randrange(len(s2))]
+            out.append(FiberPoint(xe, y1, y2))
+        else:
+            y1 = s1[rng.randrange(len(s1))]
+            y2 = s2[rng.randrange(len(s2))]
+            out.append(FiberPoint(x, y1, y2))
+    return out

@@ -12,7 +12,6 @@ from contextlib import contextmanager
 import pytest
 
 from howe import (
-    NotOnCurveError,
     brute_force_singular_scan,
     build_model,
     classify,
@@ -20,10 +19,7 @@ from howe import (
     gcd,
     genus_bound_check,
     h1_poly,
-    lift_point,
     prime_field,
-    project_point,
-    random_fiber_points,
     rational_field,
     rational_point_set,
     singular_points,
@@ -37,7 +33,14 @@ from howe.sampling import sample_types
 from howe.unipoly import UniPoly
 
 from conftest import random_branch_data
-from oracles import shape_a_witness, shape_b_witness
+from oracles import (
+    NotOnCurveError,
+    lift_point,
+    project_point,
+    random_fiber_points,
+    shape_a_witness,
+    shape_b_witness,
+)
 
 
 @contextmanager

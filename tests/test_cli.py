@@ -11,8 +11,8 @@ from howe import (
     ConstructionMismatchError,
     MixedFieldsError,
     MultiplicityExceedsTwoError,
-    NotOnCurveError,
     NotSingularError,
+    ZeroPolynomialError,
     cli,
     reference,
 )
@@ -176,6 +176,25 @@ class TestBuild:
         assert out == ""
         assert f"at most {cli.MAX_RATIONAL_DIGITS} digits" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["1e10000000", "1e-100000000"])
+    def test_rational_exponent_over_digit_bound_exit_3_fast(self, capsys, value):
+        # Fraction alone builds 10**exponent, a number of |exponent| digits, first
+        start = time.perf_counter()
+        code, out, err = run(capsys, "build", "--field", "rational",
+                             "--alpha", f"{value},1,2,3", "--beta", "4,5,6,7")
+        assert time.perf_counter() - start < 1.0
+        assert code == cli.EXIT_INPUT == 3
+        assert out == ""
+        assert f"at most {cli.MAX_RATIONAL_DIGITS} digits" in err
+
+    def test_rational_exponents_within_bound(self, capsys):
+        code, out, err = run(capsys, "build", "--field", "rational", "--json",
+                             "--alpha", "1e5,0.5,3/4,0e100000000", "--beta", "4,5,6,7e-3")
+        assert code == 0, err
+        payload = json.loads(out)["input"]
+        assert payload["alpha"] == ["100000", "1/2", "3/4", "0"]
+        assert payload["beta"] == ["4", "5", "6", "7/1000"]
 
 
 def fraction_values(digits: int, seed: int):
@@ -342,7 +361,7 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "error", [TypeError, ValueError, ZeroDivisionError, MixedFieldsError, NotOnCurveError]
+        "error", [TypeError, ValueError, ZeroDivisionError, MixedFieldsError, ZeroPolynomialError]
     )
     def test_unexpected_exception_exit_5(self, capsys, monkeypatch, error):
         def broken(rd, seed=0):
@@ -362,6 +381,11 @@ class TestExitCodes:
         (["sample", "--field", "p=31", "--count", "3", "--bogus"], "unrecognized"),
         (["frobnicate"], "invalid choice"),
         ([], "required"),
+        # options are not abbreviated: --alph does not stand for --alpha
+        (["build", "--field", "p=31", "--alph", "-1,0,2,20", "--beta", "28,16,7,27"],
+         "required: --alpha"),
+        (["build", "--field", "p=31", "--alph", "0,1,-1,20", "--beta", "28,16,7,27"],
+         "required: --alpha"),
     ])
     def test_usage_error_exit_3(self, capsys, argv, needle):
         # argparse's own usage errors exit 2, which means a field error here

@@ -35,7 +35,13 @@ from oracles import (
     shape_a_test,
     shape_a_witness,
     shape_b_witness,
+    sqrt,
 )
+
+
+def translated(rd, c):
+    """The branch data with all eight values shifted by c."""
+    return validate([a + c for a in rd.alphas], [b + c for b in rd.betas])
 
 
 def even_quadratic(field, coeffs):
@@ -151,7 +157,7 @@ class TestShapeBWitness:
             rd = random_branch_data(prime_field(31), rng)
             shift = F31(rng.randrange(31))
             base = is_absolutely_irreducible(rd)
-            moved = is_absolutely_irreducible(rd.translated(shift))
+            moved = is_absolutely_irreducible(translated(rd, shift))
             assert base.irreducible == moved.irreducible
 
 
@@ -184,7 +190,7 @@ class TestResidualIdentities:
             rd = random_branch_data(QQ, rng, span=15)
             if (rd.sigma[0] - rd.tau[0]).is_zero:
                 continue
-            rd0 = rd.translated(-rd.alphas[0])
+            rd0 = translated(rd, -rd.alphas[0])
             cases = shape_b_test(rd)
             b1 = [c for c in cases if c.case == "B1"][0]
             s3 = rd0.sigma[2].val
@@ -218,7 +224,7 @@ def shape_b_cases_from_model(rd):
     general case recipe (square roots, divisions, the zero branches) runs
     here on field elements, and no code is shared with the library's plan.
     """
-    rd0 = rd.translated(-rd.alphas[0])
+    rd0 = translated(rd, -rd.alphas[0])
     f0 = build_model(rd0).f
     field = rd.field
     d1 = rd0.sigma[0] - rd0.tau[0]
@@ -264,7 +270,7 @@ def _a3_zero_pool(field, rng, n, span=None, symmetric=False):
     while len(out) < n:
         if symmetric:
             a, b, c = (field.random_element(rng) for _ in range(3))
-            root = field.sqrt(a * a + b * b - c * c, 0)
+            root = sqrt(field, a * a + b * b - c * c, 0)
             if root is None:
                 continue
             d = root[0]

@@ -1,5 +1,9 @@
 """Construction-layer tests: validation, the coefficient formulas against
-the direct assembly, Moebius normalization, and the birational maps."""
+the direct assembly, and the birational maps.
+
+The projection, its inverse lift, the fiber-point sampler and the square
+roots they take are oracles in ``tests/oracles.py``; no library path calls
+them."""
 
 import random
 
@@ -8,17 +12,11 @@ import pytest
 from howe import (
     BiPoly,
     DuplicateRamificationPointError,
-    NotOnCurveError,
     assemble_sextic,
     build_extension,
     build_model,
-    genus_of_howe,
     h1_poly,
-    lift_point,
-    mobius_normalize,
     prime_field,
-    project_point,
-    random_fiber_points,
     sextic_coeffs,
     validate,
 )
@@ -26,6 +24,13 @@ from howe import (
 from howe.unipoly import UniPoly
 
 from conftest import closed_form_pools, expand_from_roots, random_branch_data
+from oracles import (
+    NotOnCurveError,
+    lift_point,
+    project_point,
+    random_fiber_points,
+    sqrt,
+)
 
 
 class TestValidate:
@@ -47,13 +52,6 @@ class TestValidate:
         assert info.value.second == "alpha4"
         with pytest.raises(DuplicateRamificationPointError):
             validate([F31(0), F31(1), F31(2), F31(3)], [F31(3), F31(9), F31(10), F31(11)])
-
-    def test_swap_exchanges_sigma_tau(self, F31):
-        rng = random.Random(1)
-        rd = random_branch_data(prime_field(31), rng)
-        sw = rd.swapped()
-        assert sw.sigma == rd.tau and sw.tau == rd.sigma
-        assert sw.alphas == rd.betas
 
 
 CLOSED_FORM_POOLS = closed_form_pools()
@@ -219,68 +217,6 @@ class TestSimplifiedForms:
         assert f == expected
 
 
-class TestMobius:
-    def test_already_normalized_is_identity(self, F31):
-        rd = validate(
-            [F31(0), F31(1), F31(-1), F31(20)],
-            [F31(28), F31(16), F31(7), F31(27)],
-        )
-        res = mobius_normalize(rd)
-        assert res.triple == (0, 1, 2)
-        m = res.transform
-        # identity up to scalar: b = c = 0, a = d
-        assert m.b.is_zero and m.c.is_zero and m.a == m.d
-        assert res.data.alphas == rd.alphas and res.data.betas == rd.betas
-
-    def test_first_three_map_to_targets(self, F31):
-        rd = validate(
-            [F31(5), F31(7), F31(11), F31(20)],
-            [F31(2), F31(3), F31(13), F31(29)],
-        )
-        res = mobius_normalize(rd)
-        m = res.transform
-        points = rd.alphas + rd.betas
-        i, j, k = res.triple
-        assert m.apply(points[i]) == F31(0)
-        assert m.apply(points[j]) == F31(1)
-        assert m.apply(points[k]) == F31(-1)
-        images = [m.apply(q) for q in points]
-        assert len({v.val for v in images}) == 8
-
-    def test_inverse_restores(self, F31):
-        rng = random.Random(6)
-        for _ in range(20):
-            rd = random_branch_data(prime_field(31), rng)
-            res = mobius_normalize(rd)
-            inv = res.transform.inverse()
-            assert [inv.apply(a) for a in res.data.alphas] == list(rd.alphas)
-            assert [inv.apply(b) for b in res.data.betas] == list(rd.betas)
-
-    def test_retries_when_pole_hits_a_point(self, F31):
-        # the first triple's pole can land on a remaining branch value;
-        # normalization must then move on and still succeed
-        rng = random.Random(7)
-        seen_retry = False
-        for _ in range(400):
-            rd = random_branch_data(prime_field(31), rng)
-            res = mobius_normalize(rd)
-            if res.triple != (0, 1, 2):
-                seen_retry = True
-                images = [res.transform.apply(q) for q in rd.alphas + rd.betas]
-                assert len({v.val for v in images}) == 8
-                break
-        assert seen_retry
-
-    def test_over_q(self, QQ):
-        rd = validate(
-            [QQ(2), QQ(3), QQ(5), QQ(7)],
-            [QQ(11), QQ(13), QQ(17), QQ(19)],
-        )
-        res = mobius_normalize(rd)
-        vals = [v.val for v in res.data.alphas[:3]]
-        assert vals == [0, 1, -1]
-
-
 class TestLift:
     def _model(self, F31):
         rd = validate(
@@ -307,7 +243,7 @@ class TestLift:
         x = F31(4)
         v1 = model.rd.phi1(x)
         assert v1 == model.rd.phi2(x) and not v1.is_zero
-        if F31.sqrt(v1) is None:
+        if sqrt(F31, v1) is None:
             ext = build_extension(31, 2, 1)
             x = ext.embed(x)
             y = ext.zero
@@ -347,11 +283,3 @@ class TestLift:
                 (q.y1, q.y2) == (p.y1, p.y2) for q in lifted.lifts
             )
 
-
-class TestGenus:
-    @pytest.mark.parametrize(
-        "g1, g2, r, expected",
-        [(1, 1, 0, 5), (2, 2, 4, 5), (1, 1, 3, 2), (1, 2, 2, 5), (1, 3, 4, 5)],
-    )
-    def test_formula(self, g1, g2, r, expected):
-        assert genus_of_howe(g1, g2, r) == expected
