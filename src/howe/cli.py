@@ -10,13 +10,20 @@ Exit codes: 0 success (and --help), 1 reference or oracle mismatch,
 2 field error, 3 input validation error (a usage error such as a missing
 or unknown option included), 4 scan budget exceeded, 5 internal failure:
 an invariant check or any unexpected exception (stderr then carries the
-traceback and a one-line replay record).
+traceback and a one-line replay record), 141 stdout closed by its reader
+(as in ``howe verify-paper | head -1``; nothing failed, nothing is printed).
+
+Each verb imports the modules it uses when it runs, so a process loads
+only its own verb's code: ``build`` never loads the reference table or the
+sampler, and ``scan`` never loads the report or the irreducibility
+certificate.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -27,11 +34,6 @@ from .errors import (
     UnsupportedFieldError,
 )
 from .field import Field, is_prime, prime_field, rational_field
-from .report import analyze, render_text, to_json
-from .reference import run_reference_checks
-from .sampling import sample_types
-from .sextic import build_model, validate
-from .singular import brute_force_singular_scan, rational_point_set, singular_points
 
 SCAN_PRIME_LIMIT = 97
 
@@ -44,6 +46,7 @@ EXIT_FIELD = 2
 EXIT_INPUT = 3
 EXIT_BUDGET = 4
 EXIT_INTERNAL = 5
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a killed writer
 
 
 class FieldArgumentError(Exception):
@@ -145,6 +148,9 @@ def _emit(args, payload: dict, text: str):
 
 
 def cmd_build(args) -> int:
+    from .report import analyze, render_text, to_json
+    from .sextic import validate
+
     field = parse_field(args.field)
     alphas = parse_points(field, args.alpha, "alpha")
     betas = parse_points(field, args.beta, "beta")
@@ -158,6 +164,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
+    from .reference import run_reference_checks
+
     outcomes = run_reference_checks(args.seed)
     payload = {
         "schema": 1,
@@ -178,6 +186,8 @@ def cmd_verify_paper(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from .sampling import sample_types
+
     if args.count < 0:
         raise InputArgumentError(f"--count must be >= 0, got {args.count}")
     field = parse_field(args.field)
@@ -201,6 +211,9 @@ def cmd_sample(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from .sextic import build_model, validate
+    from .singular import brute_force_singular_scan, rational_point_set, singular_points
+
     field = parse_field(args.field)
     if field.kind != "prime" or field.p > SCAN_PRIME_LIMIT:
         raise BudgetExceededError(
@@ -236,12 +249,29 @@ class _Parser(argparse.ArgumentParser):
     here; the message still goes to stderr.  Options must be spelt in full:
     an abbreviation such as ``--alph`` is an unrecognized argument, because
     ``_join_point_lists`` attaches a point list only to ``--alpha`` and
-    ``--beta``.  Subparsers are built from this class too."""
+    ``--beta``.  Subparsers are built from this class too.
+
+    argparse reports a missing required option before an unrecognized one,
+    so a missing-option error names the unrecognized ``--`` options first:
+    the user then sees ``--alph`` as well as the ``--alpha`` it did not
+    stand for."""
+
+    _argv = ()  # the tokens given to the last parse_known_args
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
+    def parse_known_args(self, args=None, namespace=None):
+        self._argv = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):
+        if message.startswith("the following arguments are required"):
+            unknown = [t.partition("=")[0] for t in self._argv
+                       if t.startswith("--") and t != "--"
+                       and t.partition("=")[0] not in self._option_string_actions]
+            if unknown:
+                message = f"unrecognized arguments: {' '.join(unknown)}; {message}"
         self.print_usage(sys.stderr)
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
@@ -317,7 +347,14 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(_join_point_lists(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped reading; send the unflushed rest to /dev/null so
+        # the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     except (FieldArgumentError, UnsupportedFieldError) as exc:
         print(f"field error: {exc}", file=sys.stderr)
         return EXIT_FIELD

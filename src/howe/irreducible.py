@@ -54,7 +54,6 @@ synthetic reducible sextics, are the tests' oracle and live with them.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import ConstructionMismatchError
@@ -62,8 +61,7 @@ from .field import Field, FieldElement
 from .sextic import RamificationData, check_distinct, coefficient_values
 
 
-@dataclass(frozen=True)
-class CaseResiduals:
+class CaseResiduals(NamedTuple):
     """Residuals q1..q5 of one sign case; all five vanish iff f factors."""
 
     case: str
@@ -71,8 +69,7 @@ class CaseResiduals:
     residuals: tuple
 
 
-@dataclass(frozen=True)
-class IrreducibilityVerdict:
+class IrreducibilityVerdict(NamedTuple):
     irreducible: bool
     shape_b_residuals: tuple
 

@@ -10,7 +10,7 @@ the pipeline on every record and reports any difference field by field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 from .field import prime_field
 from .report import analyze, element_json
@@ -19,8 +19,7 @@ from .sextic import validate
 REFERENCE_PRIME = 31
 
 
-@dataclass(frozen=True)
-class ReferenceExample:
+class ReferenceExample(NamedTuple):
     name: str
     alpha4: int
     betas: tuple
@@ -101,11 +100,22 @@ REFERENCE_EXAMPLES = (
 )
 
 
-@dataclass
 class ExampleOutcome:
-    name: str
-    passed: bool
-    diffs: list = dc_field(default_factory=list)
+    """The verdict on one reference example and its differences, if any."""
+
+    __slots__ = ("name", "passed", "diffs")
+
+    def __init__(self, name: str, passed: bool, diffs=None):
+        self.name = name
+        self.passed = passed
+        self.diffs = [] if diffs is None else diffs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, n) == getattr(other, n) for n in self.__slots__)
+
+    __hash__ = None  # mutable
 
 
 def reference_data(example: ReferenceExample):

@@ -11,8 +11,8 @@ inputs render byte-identically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bipoly import HomPoly
 from .field import Field, FieldElement
@@ -51,8 +51,7 @@ def euler_relation_holds(F: HomPoly) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     rd: RamificationData
     model: SexticModel
     h1: UniPoly

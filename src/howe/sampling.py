@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field as dc_field
 
 from .errors import UnsupportedFieldError
 from .field import Field
@@ -30,13 +29,25 @@ from .singular import TYPE_TABLE, classify, classify_values
 TYPE_LABELS = ("I-1", "I-2", "I-3", "II-1", "II-2", "II-3", "II-4")
 
 
-@dataclass
 class SampleSummary:
-    count: int
-    seed: int
-    type_counts: dict = dc_field(default_factory=dict)
-    total_counts: dict = dc_field(default_factory=dict)
+    """Tallies of ``count`` draws: type label -> draws, and total number of
+    singular points -> draws.  Mutable: ``sample_types`` fills the tallies."""
+
+    __slots__ = ("count", "seed", "type_counts", "total_counts")
     irreducibility_failures = 0  # a constant: each draw is certified or raises
+
+    def __init__(self, count: int, seed: int, type_counts=None, total_counts=None):
+        self.count = count
+        self.seed = seed
+        self.type_counts = {} if type_counts is None else type_counts
+        self.total_counts = {} if total_counts is None else total_counts
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, n) == getattr(other, n) for n in self.__slots__)
+
+    __hash__ = None  # mutable
 
     @property
     def fraction_with_four(self) -> float:

@@ -23,7 +23,7 @@ rather than computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bipoly import BiPoly, HomPoly, homogenize
 from .errors import (
@@ -41,8 +41,7 @@ COEFF_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class RamificationData:
+class RamificationData(NamedTuple):
     """Validated branch data: the two root quadruples with their symmetric
     functions sigma_i (for the alphas) and tau_i (for the betas)."""
 
@@ -133,8 +132,7 @@ def validate(alphas, betas) -> RamificationData:
     )
 
 
-@dataclass(frozen=True)
-class SexticCoefficients:
+class SexticCoefficients(NamedTuple):
     """The 13 coefficients of the sextic; c42 = -4 and c04 = 1 always."""
 
     c60: FieldElement
@@ -223,8 +221,7 @@ def assemble_sextic(rd: RamificationData) -> BiPoly:
     return sextic_from_quartics(rd.phi1, rd.phi2)
 
 
-@dataclass(frozen=True)
-class SexticModel:
+class SexticModel(NamedTuple):
     """A sextic plane model: coefficients, affine polynomial f, projective
     closure F, and the branch data it came from."""
 

@@ -42,8 +42,8 @@ projective scan stay available as independent oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from operator import attrgetter
+from typing import NamedTuple
 
 from .bipoly import HomPoly
 from .errors import (
@@ -78,8 +78,7 @@ def h1_poly(rd: RamificationData) -> UniPoly:
     )
 
 
-@dataclass(frozen=True)
-class SingularityType:
+class SingularityType(NamedTuple):
     """Classification outcome plus the resultant values the branch used."""
 
     label: str
@@ -139,8 +138,7 @@ def classify_values(sigma, tau, is_zero) -> tuple:
     return "II-4", None, None, None
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """A second partial that does not vanish at the singular point."""
 
     partial: str
@@ -148,8 +146,7 @@ class Certificate:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class SingularPoint:
+class SingularPoint(NamedTuple):
     """One singular point of the projective closure (or a conjugate packet
     over Q, described by the minimal polynomial of its x-coordinate)."""
 
@@ -159,7 +156,7 @@ class SingularPoint:
     certificate: Certificate
     minimal_poly: UniPoly | None = None
     conjugate_count: int = 1
-    multiplicity: int = dc_field(default=2)
+    multiplicity: int = 2
 
 
 def _nonzero_certificate(partial: str, value: FieldElement, coords: tuple) -> Certificate:

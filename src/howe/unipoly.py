@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     BothZeroError,
@@ -507,8 +507,7 @@ def _prime_divisors(n: int):
     return out
 
 
-@dataclass(frozen=True)
-class Root:
+class Root(NamedTuple):
     """One root of a polynomial, tagged with multiplicity and the minimal
     extension degree over the base field that contains it."""
 

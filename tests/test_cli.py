@@ -2,8 +2,12 @@
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -225,12 +229,10 @@ class TestVerifyPaper:
         ]
 
     def test_corrupted_table_detected(self, capsys, monkeypatch):
-        import dataclasses
-
         broken = list(reference.REFERENCE_EXAMPLES)
         bad_coeffs = dict(broken[0].coefficients)
         bad_coeffs["c60"] = (bad_coeffs["c60"] + 1) % 31
-        broken[0] = dataclasses.replace(broken[0], coefficients=bad_coeffs)
+        broken[0] = broken[0]._replace(coefficients=bad_coeffs)
         monkeypatch.setattr(reference, "REFERENCE_EXAMPLES", tuple(broken))
         code, out, _ = run(capsys, "verify-paper")
         assert code == 1
@@ -328,7 +330,7 @@ class TestExitCodes:
         def broken(rd, seed=0):
             raise error("forced")
 
-        monkeypatch.setattr(cli, "analyze", broken)
+        monkeypatch.setattr("howe.report.analyze", broken)
         code, out, err = run(capsys, *BUILD_I1, "--seed", "7")
         assert code == cli.EXIT_INTERNAL == 5
         assert out == ""
@@ -367,7 +369,7 @@ class TestExitCodes:
         def broken(rd, seed=0):
             raise error("injected")
 
-        monkeypatch.setattr(cli, "analyze", broken)
+        monkeypatch.setattr("howe.report.analyze", broken)
         code, out, err = run(capsys, *BUILD_I1)
         assert code == cli.EXIT_INTERNAL
         assert out == ""
@@ -386,6 +388,11 @@ class TestExitCodes:
          "required: --alpha"),
         (["build", "--field", "p=31", "--alph", "0,1,-1,20", "--beta", "28,16,7,27"],
          "required: --alpha"),
+        # ... and the error names the option that was typed
+        (["build", "--field", "p=31", "--alph", "0,1,-1,20", "--beta", "28,16,7,27"],
+         "unrecognized arguments: --alph;"),
+        (["build", "--field", "p=31", "--alph=-1,0,2,20", "--beta", "28,16,7,27"],
+         "unrecognized arguments: --alph;"),
     ])
     def test_usage_error_exit_3(self, capsys, argv, needle):
         # argparse's own usage errors exit 2, which means a field error here
@@ -396,6 +403,25 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("usage: howe")
         assert needle in captured.err
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    @pytest.mark.parametrize("argv", [BUILD_I1 + ["--json"], ["verify-paper"]])
+    def test_closed_stdout_exits_141_quietly(self, argv, unbuffered):
+        # the reader is gone before the child writes, as in `howe ... | true`
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "howe.cli", *argv], env=env,
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == cli.EXIT_CLOSED_PIPE == 141
+        assert "internal error" not in proc.stderr
+        assert proc.stderr == ""
 
     @pytest.mark.parametrize("argv", [["--help"], ["build", "--help"]])
     def test_help_exit_0(self, capsys, argv):

@@ -387,24 +387,16 @@ class TestRuntimeChecks:
             singular_points(rd)
 
     def test_vanishing_certificate_rejected(self):
-        import dataclasses
-
         rd = reference("I-1")
         model = build_model(rd)
-        broken = dataclasses.replace(
-            model, coeffs=dataclasses.replace(model.coeffs, c04=rd.field.zero)
-        )
+        broken = model._replace(coeffs=model.coeffs._replace(c04=rd.field.zero))
         with pytest.raises(MultiplicityExceedsTwoError):
             singular_points(rd, 0, broken)
 
     def test_x_point_requires_vanishing_top_terms(self):
-        import dataclasses
-
         rd = reference("II-4")
         model = build_model(rd)
-        broken = dataclasses.replace(
-            model, coeffs=dataclasses.replace(model.coeffs, c50=rd.field.one)
-        )
+        broken = model._replace(coeffs=model.coeffs._replace(c50=rd.field.one))
         with pytest.raises(NotSingularError):
             singular_points(rd, 0, broken)
 
